@@ -16,7 +16,9 @@ namespace {
 std::string hotnessBar(double RelPercent) {
   unsigned Filled =
       static_cast<unsigned>(std::lround(std::min(RelPercent, 100.0) / 10.0));
-  return "|" + std::string(Filled, '#') + std::string(10 - Filled, '-') + "|";
+  // Appends rather than "|" + ...: GCC 12 -O3 raises a false -Wrestrict.
+  std::string Bar = "|";
+  return Bar.append(Filled, '#').append(10 - Filled, '-').append("|");
 }
 
 /// Eight-character read/write mix bar. More reads than writes: uppercase
@@ -29,7 +31,8 @@ std::string readWriteBar(double Reads, double Writes) {
       static_cast<unsigned>(std::lround(8.0 * Reads / Total));
   char RC = Reads >= Writes ? 'R' : 'r';
   char WC = Reads >= Writes ? 'w' : 'W';
-  return "|" + std::string(NR, RC) + std::string(8 - NR, WC) + "|";
+  std::string Bar = "|";
+  return Bar.append(NR, RC).append(8 - NR, WC).append("|");
 }
 
 /// Orders the types hottest first.

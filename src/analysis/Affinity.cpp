@@ -2,8 +2,7 @@
 
 #include "analysis/Affinity.h"
 
-#include "analysis/Dominators.h"
-#include "analysis/LoopInfo.h"
+#include "analysis/StaticEstimator.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -66,8 +65,9 @@ namespace {
 /// them into the affinity graphs.
 class AffinityCollector {
 public:
-  AffinityCollector(const Module &M, const WeightSource &WS)
-      : M(M), WS(WS) {}
+  AffinityCollector(const Module &M, const WeightSource &WS,
+                    const ModuleLoops &Loops)
+      : M(M), WS(WS), Loops(Loops) {}
 
   FieldStatsResult run() {
     // Make every completed record present, so cold types still report.
@@ -91,26 +91,31 @@ private:
   };
 
   void collectFunction(const Function &F) {
-    DominatorTree DT(F);
-    LoopInfo LI(F, DT);
+    const LoopInfo &LI = Loops.get(&F).LI;
 
-    // Partition the function's field references by innermost loop
-    // (nullptr key = straight-line code).
-    std::map<const Loop *, std::map<RecordType *, std::set<unsigned>>>
-        RegionFields;
+    // Partition the function's field references by innermost loop: region
+    // 0 is straight-line code, region 1 + i is the loop with index i. The
+    // fixed region order fixes the order of the weight sums below.
+    std::vector<std::map<RecordType *, std::set<unsigned>>> RegionFields(
+        LI.loops().size() + 1);
     for (const auto &BB : F.blocks()) {
       const Loop *L = LI.getLoopFor(BB.get());
       for (const auto &I : BB->instructions()) {
         const auto *FA = dyn_cast<FieldAddrInst>(I.get());
         if (!FA)
           continue;
-        RegionFields[L][FA->getRecord()].insert(FA->getFieldIndex());
+        RegionFields[L ? L->getIndex() + 1 : 0][FA->getRecord()].insert(
+            FA->getFieldIndex());
         countReadsWrites(*FA, BB.get());
       }
     }
 
-    for (auto &[L, PerType] : RegionFields) {
-      double W = L ? WS.blockWeight(L->getHeader()) : WS.entryWeight(&F);
+    for (size_t Region = 0; Region < RegionFields.size(); ++Region) {
+      const auto &PerType = RegionFields[Region];
+      if (PerType.empty())
+        continue;
+      double W = Region ? WS.blockWeight(LI.loops()[Region - 1]->getHeader())
+                        : WS.entryWeight(&F);
       if (W <= 0.0)
         continue;
       for (auto &[Rec, Fields] : PerType)
@@ -170,6 +175,7 @@ private:
 
   const Module &M;
   const WeightSource &WS;
+  const ModuleLoops &Loops;
   FieldStatsResult Result;
   std::vector<RawGroup> Raw;
 };
@@ -177,6 +183,7 @@ private:
 } // namespace
 
 FieldStatsResult slo::computeFieldStats(const Module &M,
-                                        const WeightSource &WS) {
-  return AffinityCollector(M, WS).run();
+                                        const WeightSource &WS,
+                                        const ModuleLoops &Loops) {
+  return AffinityCollector(M, WS, Loops).run();
 }

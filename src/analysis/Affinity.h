@@ -37,6 +37,8 @@
 
 namespace slo {
 
+class ModuleLoops;
+
 /// Provides block and entry weights to the affinity analysis.
 class WeightSource {
 public:
@@ -92,8 +94,10 @@ private:
   std::vector<RecordType *> Order;
 };
 
-/// Runs the affinity/hotness analysis over every defined function.
-FieldStatsResult computeFieldStats(const Module &M, const WeightSource &WS);
+/// Runs the affinity/hotness analysis over every defined function, with
+/// loops taken from \p Loops.
+FieldStatsResult computeFieldStats(const Module &M, const WeightSource &WS,
+                                   const ModuleLoops &Loops);
 
 } // namespace slo
 

@@ -8,13 +8,11 @@ using namespace slo;
 
 BlockFrequencies::BlockFrequencies(const Function &F, const DominatorTree &DT,
                                    const BranchProbabilities &BP)
-    : BP(BP) {
+    : Freq(F.size(), 0.0) {
   const BasicBlock *Entry = F.getEntry();
   if (!Entry)
     return;
-  for (const BasicBlock *BB : DT.reversePostOrder())
-    Freq[BB] = 0.0;
-  Freq[Entry] = 1.0;
+  Freq[Entry->getNumber()] = 1.0;
 
   // RPO sweeps until fixpoint. Each sweep propagates one more "lap" of
   // every loop; with back edge probability p the error after k sweeps is
@@ -26,16 +24,12 @@ BlockFrequencies::BlockFrequencies(const Function &F, const DominatorTree &DT,
     for (const BasicBlock *BB : DT.reversePostOrder()) {
       double In = BB == Entry ? 1.0 : 0.0;
       for (const BasicBlock *P : DT.predecessors(BB))
-        In += Freq[P] * BP.getEdgeProb(P, BB);
-      MaxDelta = std::max(MaxDelta, std::fabs(In - Freq[BB]));
-      Freq[BB] = In;
+        In += Freq[P->getNumber()] * BP.getEdgeProb(P, BB);
+      double &Out = Freq[BB->getNumber()];
+      MaxDelta = std::max(MaxDelta, std::fabs(In - Out));
+      Out = In;
     }
     if (MaxDelta < Tolerance)
       break;
   }
-}
-
-double BlockFrequencies::get(const BasicBlock *BB) const {
-  auto It = Freq.find(BB);
-  return It == Freq.end() ? 0.0 : It->second;
 }

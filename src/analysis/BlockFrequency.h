@@ -23,9 +23,7 @@
 #define SLO_ANALYSIS_BLOCKFREQUENCY_H
 
 #include "analysis/BranchProbability.h"
-#include "analysis/Dominators.h"
-
-#include <map>
+#include "ir/Dominators.h"
 
 namespace slo {
 
@@ -37,16 +35,11 @@ public:
 
   /// Expected executions of \p BB per function invocation (0 for
   /// unreachable blocks).
-  double get(const BasicBlock *BB) const;
-
-  /// Expected traversals of the edge From->To per invocation.
-  double getEdge(const BasicBlock *From, const BasicBlock *To) const {
-    return get(From) * BP.getEdgeProb(From, To);
-  }
+  double get(const BasicBlock *BB) const { return Freq[BB->getNumber()]; }
 
 private:
-  const BranchProbabilities &BP;
-  std::map<const BasicBlock *, double> Freq;
+  /// By block number.
+  std::vector<double> Freq;
 };
 
 } // namespace slo

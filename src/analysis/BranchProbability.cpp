@@ -21,13 +21,16 @@ static bool blockReturns(const BasicBlock *BB) {
 
 BranchProbabilities::BranchProbabilities(const Function &F,
                                          const LoopInfo &LI,
-                                         const BranchProbOptions &Opts) {
+                                         const BranchProbOptions &Opts)
+    : Probs(F.size()) {
   for (const auto &BB : F.blocks()) {
     const Instruction *T = BB->getTerminator();
     if (!T)
       continue;
+    OutEdges &Out = Probs[BB->getNumber()];
     if (const auto *Br = dyn_cast<BrInst>(T)) {
-      Probs[{BB.get(), Br->getTarget()}] = 1.0;
+      Out.To[0] = Br->getTarget();
+      Out.Prob[0] = 1.0;
       continue;
     }
     const auto *CBr = dyn_cast<CondBrInst>(T);
@@ -108,18 +111,22 @@ BranchProbabilities::BranchProbabilities(const Function &F,
       }
     }
 
-    Probs[{BB.get(), TrueBB}] = TrueProb;
-    // Accumulate rather than overwrite, in case both targets coincide.
-    auto It = Probs.find({BB.get(), FalseBB});
-    if (TrueBB == FalseBB && It != Probs.end())
-      It->second = 1.0;
-    else
-      Probs[{BB.get(), FalseBB}] = 1.0 - TrueProb;
+    Out.To[0] = TrueBB;
+    if (TrueBB == FalseBB) {
+      Out.Prob[0] = 1.0;
+    } else {
+      Out.Prob[0] = TrueProb;
+      Out.To[1] = FalseBB;
+      Out.Prob[1] = 1.0 - TrueProb;
+    }
   }
 }
 
 double BranchProbabilities::getEdgeProb(const BasicBlock *From,
                                         const BasicBlock *To) const {
-  auto It = Probs.find({From, To});
-  return It == Probs.end() ? 0.0 : It->second;
+  const OutEdges &Out = Probs[From->getNumber()];
+  for (unsigned I = 0; I < 2; ++I)
+    if (Out.To[I] == To)
+      return Out.Prob[I];
+  return 0.0;
 }

@@ -24,8 +24,6 @@
 
 #include "analysis/LoopInfo.h"
 
-#include <map>
-
 namespace slo {
 
 struct BranchProbOptions {
@@ -64,7 +62,14 @@ public:
 private:
   static bool loopHasFloatingPoint(const Loop &L);
 
-  std::map<std::pair<const BasicBlock *, const BasicBlock *>, double> Probs;
+  /// The out-edges of one block: br fills one slot, condbr two (one, with
+  /// probability 1, when both arms name the same block).
+  struct OutEdges {
+    const BasicBlock *To[2] = {nullptr, nullptr};
+    double Prob[2] = {0.0, 0.0};
+  };
+  /// By block number.
+  std::vector<OutEdges> Probs;
 };
 
 } // namespace slo

@@ -50,7 +50,7 @@
 #ifndef SLO_ANALYSIS_DATAFLOW_H
 #define SLO_ANALYSIS_DATAFLOW_H
 
-#include "analysis/Dominators.h"
+#include "ir/Dominators.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 #include "ir/Instructions.h"

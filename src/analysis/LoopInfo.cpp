@@ -6,6 +6,14 @@
 
 using namespace slo;
 
+bool Loop::contains(const BasicBlock *BB) const {
+  auto It = std::lower_bound(Blocks.begin(), Blocks.end(), BB->getNumber(),
+                             [](const BasicBlock *X, unsigned N) {
+                               return X->getNumber() < N;
+                             });
+  return It != Blocks.end() && *It == BB;
+}
+
 bool Loop::contains(const Loop *L) const {
   while (L) {
     if (L == this)
@@ -15,35 +23,44 @@ bool Loop::contains(const Loop *L) const {
   return false;
 }
 
-LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
+LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT)
+    : InnermostLoop(F.size(), nullptr) {
   // Find back edges and group them by header.
-  std::map<const BasicBlock *, std::vector<const BasicBlock *>> BackEdges;
+  std::vector<std::vector<const BasicBlock *>> BackEdges(F.size());
   for (const auto &BB : F.blocks()) {
     if (!DT.isReachable(BB.get()))
       continue;
     for (const BasicBlock *S : BB->successors())
       if (DT.dominates(S, BB.get()))
-        BackEdges[S].push_back(BB.get());
+        BackEdges[S->getNumber()].push_back(BB.get());
   }
 
   // Build each loop body: reverse reachability from the latches without
-  // crossing the header.
-  for (auto &[Header, Latches] : BackEdges) {
+  // crossing the header. Mark[b] holds the 1-based id of the last loop
+  // that visited block b.
+  std::vector<unsigned> Mark(F.size(), 0);
+  for (const auto &Header : F.blocks()) {
+    const std::vector<const BasicBlock *> &Latches =
+        BackEdges[Header->getNumber()];
+    if (Latches.empty())
+      continue;
     auto L = std::make_unique<Loop>();
-    L->Header = Header;
+    const unsigned Id = static_cast<unsigned>(Loops.size()) + 1;
+    L->Header = Header.get();
     L->Latches = Latches;
-    L->BlockSet.insert(Header);
+    Mark[Header->getNumber()] = Id;
+    L->Blocks.push_back(Header.get());
     std::vector<const BasicBlock *> Work(Latches.begin(), Latches.end());
     while (!Work.empty()) {
       const BasicBlock *BB = Work.back();
       Work.pop_back();
-      if (!L->BlockSet.insert(BB).second)
+      if (Mark[BB->getNumber()] == Id)
         continue;
+      Mark[BB->getNumber()] = Id;
+      L->Blocks.push_back(BB);
       for (const BasicBlock *P : DT.predecessors(BB))
         Work.push_back(P);
     }
-    L->Blocks.assign(L->BlockSet.begin(), L->BlockSet.end());
-    // Keep deterministic order: by block number.
     std::sort(L->Blocks.begin(), L->Blocks.end(),
               [](const BasicBlock *A, const BasicBlock *B) {
                 return A->getNumber() < B->getNumber();
@@ -51,39 +68,27 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
     Loops.push_back(std::move(L));
   }
 
-  // Nesting: the parent of L is the smallest loop strictly containing L's
-  // header (and different from L).
-  for (auto &L : Loops) {
-    Loop *Best = nullptr;
-    for (auto &Candidate : Loops) {
-      if (Candidate.get() == L.get())
-        continue;
-      if (!Candidate->contains(L->Header))
-        continue;
-      if (!Best || Candidate->Blocks.size() < Best->Blocks.size())
-        Best = Candidate.get();
-    }
-    L->Parent = Best;
-    if (Best)
-      Best->SubLoops.push_back(L.get());
-  }
-  for (auto &L : Loops) {
-    unsigned D = 1;
-    for (Loop *P = L->Parent; P; P = P->Parent)
-      ++D;
-    L->Depth = D;
+  // Nesting. Natural loops with distinct headers are disjoint or strictly
+  // nested, so visiting loops largest first, the innermost loop recorded
+  // so far for L's header is the smallest loop strictly containing L: its
+  // parent. Recording L over its blocks then leaves each block's
+  // innermost loop behind.
+  std::vector<Loop *> BySize;
+  for (auto &L : Loops)
+    BySize.push_back(L.get());
+  std::stable_sort(BySize.begin(), BySize.end(),
+                   [](const Loop *A, const Loop *B) {
+                     return A->Blocks.size() > B->Blocks.size();
+                   });
+  for (Loop *L : BySize) {
+    L->Parent = InnermostLoop[L->Header->getNumber()];
+    L->Depth = L->Parent ? L->Parent->Depth + 1 : 1;
+    for (const BasicBlock *BB : L->Blocks)
+      InnermostLoop[BB->getNumber()] = L;
   }
 
-  // Innermost-loop map: the smallest loop containing each block.
-  for (auto &L : Loops) {
-    for (const BasicBlock *BB : L->Blocks) {
-      Loop *&Slot = InnermostLoop[BB];
-      if (!Slot || L->Blocks.size() < Slot->Blocks.size())
-        Slot = L.get();
-    }
-  }
-
-  // Order Loops outermost-first for deterministic iteration.
+  // Order Loops outermost-first for deterministic iteration; the position
+  // is the loop's index, and sub-loops follow in that order too.
   std::sort(Loops.begin(), Loops.end(),
             [](const std::unique_ptr<Loop> &A,
                const std::unique_ptr<Loop> &B) {
@@ -91,11 +96,11 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
                 return A->Depth < B->Depth;
               return A->Header->getNumber() < B->Header->getNumber();
             });
-}
-
-Loop *LoopInfo::getLoopFor(const BasicBlock *BB) const {
-  auto It = InnermostLoop.find(BB);
-  return It == InnermostLoop.end() ? nullptr : It->second;
+  for (unsigned I = 0; I < Loops.size(); ++I) {
+    Loops[I]->Index = I;
+    if (Loops[I]->Parent)
+      Loops[I]->Parent->SubLoops.push_back(Loops[I].get());
+  }
 }
 
 std::vector<Loop *> LoopInfo::topLevel() const {

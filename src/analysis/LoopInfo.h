@@ -20,11 +20,9 @@
 #ifndef SLO_ANALYSIS_LOOPINFO_H
 #define SLO_ANALYSIS_LOOPINFO_H
 
-#include "analysis/Dominators.h"
+#include "ir/Dominators.h"
 
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 namespace slo {
@@ -35,14 +33,17 @@ public:
   const BasicBlock *getHeader() const { return Header; }
   Loop *getParent() const { return Parent; }
   const std::vector<Loop *> &subLoops() const { return SubLoops; }
-  /// All blocks of the loop including nested loop bodies.
+  /// All blocks of the loop including nested loop bodies, in block-number
+  /// order.
   const std::vector<const BasicBlock *> &blocks() const { return Blocks; }
   /// Sources of the back edges into the header.
   const std::vector<const BasicBlock *> &latches() const { return Latches; }
   /// 1 for top-level loops, increasing inward.
   unsigned getDepth() const { return Depth; }
+  /// Position in LoopInfo::loops(): a dense, deterministic loop id.
+  unsigned getIndex() const { return Index; }
 
-  bool contains(const BasicBlock *BB) const { return BlockSet.count(BB); }
+  bool contains(const BasicBlock *BB) const;
   bool contains(const Loop *L) const;
 
 private:
@@ -51,9 +52,9 @@ private:
   Loop *Parent = nullptr;
   std::vector<Loop *> SubLoops;
   std::vector<const BasicBlock *> Blocks;
-  std::set<const BasicBlock *> BlockSet;
   std::vector<const BasicBlock *> Latches;
   unsigned Depth = 1;
+  unsigned Index = 0;
 };
 
 /// The loop nesting forest of one function.
@@ -62,11 +63,12 @@ public:
   LoopInfo(const Function &F, const DominatorTree &DT);
 
   /// The innermost loop containing \p BB, or nullptr.
-  Loop *getLoopFor(const BasicBlock *BB) const;
+  Loop *getLoopFor(const BasicBlock *BB) const {
+    return InnermostLoop[BB->getNumber()];
+  }
 
-  /// All loops, innermost-last within each nest (safe order for
-  /// outer-to-inner processing); use loopsInnermostFirst() for the
-  /// reverse.
+  /// All loops ordered by (depth, header block number), so outer loops
+  /// come first; use loopsInnermostFirst() for the reverse.
   const std::vector<std::unique_ptr<Loop>> &loops() const { return Loops; }
 
   std::vector<Loop *> topLevel() const;
@@ -84,7 +86,8 @@ public:
 
 private:
   std::vector<std::unique_ptr<Loop>> Loops;
-  std::map<const BasicBlock *, Loop *> InnermostLoop;
+  /// By block number.
+  std::vector<Loop *> InnermostLoop;
 };
 
 } // namespace slo

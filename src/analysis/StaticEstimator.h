@@ -8,7 +8,9 @@
 /// \file
 /// Bundles the per-function static analyses (dominators, loops, branch
 /// probabilities, local block frequencies) for a whole module, so the
-/// inter-procedural phases have one place to query them.
+/// inter-procedural phases have one place to query them. The dominator
+/// tree and loop forest of each function are built once (ModuleLoops) and
+/// shared by the estimator and the affinity analysis.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,10 +27,30 @@
 
 namespace slo {
 
-/// All per-function static analyses of one function.
+/// The dominator tree and loop forest of one function.
+struct FunctionLoops {
+  explicit FunctionLoops(const Function &F) : DT(F), LI(F, DT) {}
+  DominatorTree DT;
+  LoopInfo LI;
+};
+
+/// FunctionLoops for every defined function of a module.
+class ModuleLoops {
+public:
+  explicit ModuleLoops(const Module &M);
+
+  const Module &getModule() const { return M; }
+
+  /// Loops of \p F, which must be a definition in the module.
+  const FunctionLoops &get(const Function *F) const;
+
+private:
+  const Module &M;
+  std::map<const Function *, FunctionLoops> PerFunction;
+};
+
+/// The probability-dependent static analyses of one function.
 struct FunctionStaticAnalyses {
-  std::unique_ptr<DominatorTree> DT;
-  std::unique_ptr<LoopInfo> LI;
   std::unique_ptr<BranchProbabilities> BP;
   std::unique_ptr<BlockFrequencies> BF;
 };
@@ -40,13 +62,16 @@ public:
   StaticEstimator(const Module &M,
                   const BranchProbOptions &Opts = BranchProbOptions());
 
-  const Module &getModule() const { return M; }
+  const Module &getModule() const { return Loops.getModule(); }
+
+  /// The dominator trees and loop forests the estimates were built on.
+  const ModuleLoops &loops() const { return Loops; }
 
   /// Analyses for \p F, which must be a definition in the module.
   const FunctionStaticAnalyses &get(const Function *F) const;
 
 private:
-  const Module &M;
+  ModuleLoops Loops;
   std::map<const Function *, FunctionStaticAnalyses> PerFunction;
 };
 

@@ -61,16 +61,16 @@ FieldStatsResult slo::computeSchemeFieldStats(WeightScheme Scheme,
   switch (Scheme) {
   case WeightScheme::PBO: {
     ProfileWeightSource WS(requireProfile(Inputs.TrainProfile, "PBO"));
-    return computeFieldStats(M, WS);
+    return computeFieldStats(M, WS, ModuleLoops(M));
   }
   case WeightScheme::PPBO: {
     ProfileWeightSource WS(requireProfile(Inputs.RefProfile, "PPBO"));
-    return computeFieldStats(M, WS);
+    return computeFieldStats(M, WS, ModuleLoops(M));
   }
   case WeightScheme::SPBO: {
     StaticEstimator SE(M);
     LocalStaticWeightSource WS(SE);
-    return computeFieldStats(M, WS);
+    return computeFieldStats(M, WS, SE.loops());
   }
   case WeightScheme::ISPBO: {
     StaticEstimator SE(M);
@@ -81,7 +81,7 @@ FieldStatsResult slo::computeSchemeFieldStats(WeightScheme Scheme,
     Opts.SeedUncalledDefinitions = Inputs.SeedUncalledDefinitions;
     InterProcFrequencies IPF(SE, CG, Opts);
     InterProcWeightSource WS(IPF);
-    return computeFieldStats(M, WS);
+    return computeFieldStats(M, WS, SE.loops());
   }
   case WeightScheme::ISPBO_NO: {
     StaticEstimator SE(M);
@@ -91,7 +91,7 @@ FieldStatsResult slo::computeSchemeFieldStats(WeightScheme Scheme,
     Opts.SeedUncalledDefinitions = Inputs.SeedUncalledDefinitions;
     InterProcFrequencies IPF(SE, CG, Opts);
     InterProcWeightSource WS(IPF);
-    return computeFieldStats(M, WS);
+    return computeFieldStats(M, WS, SE.loops());
   }
   case WeightScheme::ISPBO_W: {
     // Raised back-edge probabilities replace the exponent.
@@ -102,14 +102,14 @@ FieldStatsResult slo::computeSchemeFieldStats(WeightScheme Scheme,
     Opts.SeedUncalledDefinitions = Inputs.SeedUncalledDefinitions;
     InterProcFrequencies IPF(SE, CG, Opts);
     InterProcWeightSource WS(IPF);
-    return computeFieldStats(M, WS);
+    return computeFieldStats(M, WS, SE.loops());
   }
   case WeightScheme::DMISS:
   case WeightScheme::DLAT: {
     const FeedbackFile &FB =
         requireProfile(Inputs.TrainProfile, weightSchemeName(Scheme));
     ProfileWeightSource WS(FB);
-    FieldStatsResult Stats = computeFieldStats(M, WS);
+    FieldStatsResult Stats = computeFieldStats(M, WS, ModuleLoops(M));
     overlayCacheHotness(Stats, FB, Scheme == WeightScheme::DLAT);
     return Stats;
   }
@@ -117,7 +117,7 @@ FieldStatsResult slo::computeSchemeFieldStats(WeightScheme Scheme,
     const FeedbackFile &FB =
         requireProfile(Inputs.UninstrumentedProfile, "DMISS.NO");
     ProfileWeightSource WS(FB);
-    FieldStatsResult Stats = computeFieldStats(M, WS);
+    FieldStatsResult Stats = computeFieldStats(M, WS, ModuleLoops(M));
     overlayCacheHotness(Stats, FB, /*UseLatency=*/false);
     return Stats;
   }

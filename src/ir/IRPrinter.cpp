@@ -72,12 +72,13 @@ private:
       auto It = Names.find(V);
       if (It != Names.end())
         return It->second;
-      std::string N = V->getName().empty()
-                          ? "%" + std::to_string(NextId++)
-                          : "%" + V->getName();
+      // Appends rather than "%" + ...: GCC 12 -O3 raises a false
+      // -Wrestrict on a literal + std::string.
+      std::string N = "%";
+      N += V->getName().empty() ? std::to_string(NextId++) : V->getName();
       // Disambiguate duplicate source names.
       if (UsedNames.count(N))
-        N += "." + std::to_string(NextId++);
+        N.append(".").append(std::to_string(NextId++));
       UsedNames.insert({N, V});
       Names[V] = N;
       return N;

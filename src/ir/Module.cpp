@@ -59,17 +59,6 @@ GlobalVariable *Module::adoptGlobal(std::unique_ptr<GlobalVariable> G) {
   return Globals.back().get();
 }
 
-void Module::removeFunction(Function *F) {
-  assert(!F->hasUsers() && "removing a function that still has users");
-  for (auto It = Funcs.begin(); It != Funcs.end(); ++It) {
-    if (It->get() == F) {
-      Funcs.erase(It);
-      return;
-    }
-  }
-  SLO_UNREACHABLE("removeFunction: function not in this module");
-}
-
 std::unique_ptr<Function> Module::releaseFunction(Function *F) {
   for (auto It = Funcs.begin(); It != Funcs.end(); ++It) {
     if (It->get() == F) {

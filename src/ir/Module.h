@@ -91,9 +91,6 @@ public:
   Function *adoptFunction(std::unique_ptr<Function> F);
   GlobalVariable *adoptGlobal(std::unique_ptr<GlobalVariable> G);
 
-  /// Removes \p F (which must have no remaining users) from the module.
-  void removeFunction(Function *F);
-
   /// Detaches \p F from the module without destroying it; ownership passes
   /// to the caller (Linker use: the function may still have stale users
   /// that are about to be patched).

@@ -100,7 +100,11 @@ public:
   unsigned getAlign() const override {
     return static_cast<unsigned>(getSize());
   }
-  std::string getName() const override { return "i" + std::to_string(Bits); }
+  std::string getName() const override {
+    // Appends rather than "i" + ...: GCC 12 -O3 raises a false -Wrestrict.
+    std::string Name = "i";
+    return Name.append(std::to_string(Bits));
+  }
 
   static bool classof(const Type *T) { return T->getKind() == TK_Int; }
 
@@ -120,7 +124,11 @@ public:
   unsigned getBits() const { return Bits; }
   uint64_t getSize() const override { return Bits / 8; }
   unsigned getAlign() const override { return Bits / 8; }
-  std::string getName() const override { return "f" + std::to_string(Bits); }
+  std::string getName() const override {
+    // Appends rather than "f" + ...: GCC 12 -O3 raises a false -Wrestrict.
+    std::string Name = "f";
+    return Name.append(std::to_string(Bits));
+  }
 
   static bool classof(const Type *T) { return T->getKind() == TK_Float; }
 

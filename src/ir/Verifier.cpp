@@ -2,13 +2,13 @@
 
 #include "ir/Verifier.h"
 
+#include "ir/Dominators.h"
 #include "ir/Module.h"
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
 #include "support/Error.h"
 
 #include <map>
-#include <set>
 
 using namespace slo;
 
@@ -24,10 +24,8 @@ public:
   bool run() {
     size_t Before = Diags.count(DiagSeverity::Error);
     checkBlocks();
-    if (Diags.count(DiagSeverity::Error) == Before) {
-      computeDominators();
-      checkDefDominatesUse();
-    }
+    if (Diags.count(DiagSeverity::Error) == Before)
+      checkDefDominatesUse(DominatorTree(F));
     return Diags.count(DiagSeverity::Error) == Before;
   }
 
@@ -36,11 +34,13 @@ private:
     Diags.report(DiagSeverity::Error, "verifier", Msg).Function = F.getName();
   }
 
-  void checkBlocks() {
-    std::set<const BasicBlock *> Owned;
-    for (const auto &BB : F.blocks())
-      Owned.insert(BB.get());
+  /// True when \p BB is this function's block with \p BB's number.
+  bool owns(const BasicBlock *BB) const {
+    return BB->getNumber() < F.size() &&
+           F.blocks()[BB->getNumber()].get() == BB;
+  }
 
+  void checkBlocks() {
     for (const auto &BB : F.blocks()) {
       if (BB->empty()) {
         error("block '" + BB->getName() + "' is empty");
@@ -58,7 +58,7 @@ private:
         checkInstruction(*I);
       }
       for (BasicBlock *Succ : BB->successors())
-        if (!Owned.count(Succ))
+        if (!owns(Succ))
           error("block '" + BB->getName() +
                 "' branches to a block of another function");
     }
@@ -148,86 +148,7 @@ private:
     }
   }
 
-  // A small iterative dominator computation (the analysis library has the
-  // full-featured one; the verifier stays self-contained so it can be
-  // used below the analysis layer).
-  void computeDominators() {
-    const BasicBlock *Entry = F.getEntry();
-    std::vector<const BasicBlock *> Order;
-    std::set<const BasicBlock *> Visited;
-    // Reverse post-order via iterative DFS.
-    std::vector<std::pair<const BasicBlock *, size_t>> Stack;
-    Stack.push_back({Entry, 0});
-    Visited.insert(Entry);
-    std::vector<const BasicBlock *> Post;
-    while (!Stack.empty()) {
-      auto &[BB, Idx] = Stack.back();
-      auto Succs = BB->successors();
-      if (Idx < Succs.size()) {
-        const BasicBlock *S = Succs[Idx++];
-        if (Visited.insert(S).second)
-          Stack.push_back({S, 0});
-      } else {
-        Post.push_back(BB);
-        Stack.pop_back();
-      }
-    }
-    Order.assign(Post.rbegin(), Post.rend());
-    for (size_t I = 0; I < Order.size(); ++I)
-      RpoIndex[Order[I]] = I;
-    for (const auto &BB : F.blocks()) {
-      if (!Visited.count(BB.get()))
-        Unreachable.insert(BB.get());
-      for (const BasicBlock *S : BB->successors())
-        Preds[S].push_back(BB.get());
-    }
-
-    Idom[Entry] = Entry;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (const BasicBlock *BB : Order) {
-        if (BB == Entry)
-          continue;
-        const BasicBlock *NewIdom = nullptr;
-        for (const BasicBlock *P : Preds[BB]) {
-          if (!Idom.count(P))
-            continue;
-          NewIdom = NewIdom ? intersect(P, NewIdom) : P;
-        }
-        if (NewIdom && Idom[BB] != NewIdom) {
-          Idom[BB] = NewIdom;
-          Changed = true;
-        }
-      }
-    }
-  }
-
-  const BasicBlock *intersect(const BasicBlock *A, const BasicBlock *B) {
-    while (A != B) {
-      while (RpoIndex[A] > RpoIndex[B])
-        A = Idom[A];
-      while (RpoIndex[B] > RpoIndex[A])
-        B = Idom[B];
-    }
-    return A;
-  }
-
-  bool dominates(const BasicBlock *A, const BasicBlock *B) {
-    const BasicBlock *Entry = F.getEntry();
-    while (true) {
-      if (B == A)
-        return true;
-      if (B == Entry)
-        return false;
-      auto It = Idom.find(B);
-      if (It == Idom.end())
-        return false;
-      B = It->second;
-    }
-  }
-
-  void checkDefDominatesUse() {
+  void checkDefDominatesUse(const DominatorTree &DT) {
     // Map instruction -> position within its block.
     std::map<const Instruction *, unsigned> Position;
     for (const auto &BB : F.blocks()) {
@@ -236,18 +157,18 @@ private:
         Position[I.get()] = Pos++;
     }
     for (const auto &BB : F.blocks()) {
-      if (Unreachable.count(BB.get()))
+      if (!DT.isReachable(BB.get()))
         continue;
       for (const auto &I : BB->instructions()) {
         for (unsigned Op = 0; Op < I->getNumOperands(); ++Op) {
           const auto *Def = dyn_cast<Instruction>(I->getOperand(Op));
           if (!Def)
             continue;
-          if (Unreachable.count(Def->getParent()))
+          if (!DT.isReachable(Def->getParent()))
             continue;
           bool Ok = Def->getParent() == BB.get()
                         ? Position[Def] < Position[I.get()]
-                        : dominates(Def->getParent(), BB.get());
+                        : DT.dominates(Def->getParent(), BB.get());
           if (!Ok)
             error("use of value does not follow its definition (block '" +
                   BB->getName() + "')");
@@ -258,10 +179,6 @@ private:
 
   const Function &F;
   DiagnosticEngine &Diags;
-  std::map<const BasicBlock *, size_t> RpoIndex;
-  std::map<const BasicBlock *, std::vector<const BasicBlock *>> Preds;
-  std::map<const BasicBlock *, const BasicBlock *> Idom;
-  std::set<const BasicBlock *> Unreachable;
 };
 
 } // namespace
@@ -291,13 +208,6 @@ void appendLegacyStrings(const DiagnosticEngine &Diags, size_t From,
 }
 
 } // namespace
-
-bool slo::verifyFunction(const Function &F, std::vector<std::string> &Errors) {
-  DiagnosticEngine Diags;
-  bool Ok = verifyFunction(F, Diags);
-  appendLegacyStrings(Diags, 0, Errors);
-  return Ok;
-}
 
 bool slo::verifyModule(const Module &M, std::vector<std::string> &Errors) {
   DiagnosticEngine Diags;

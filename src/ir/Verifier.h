@@ -33,11 +33,8 @@ bool verifyFunction(const Function &F, DiagnosticEngine &Diags);
 /// when no problems were found.
 bool verifyModule(const Module &M, DiagnosticEngine &Diags);
 
-/// Compatibility shim: appends each problem to \p Errors as
-/// "function 'name': message".
-bool verifyFunction(const Function &F, std::vector<std::string> &Errors);
-
-/// Compatibility shim over the DiagnosticEngine-based verifyModule.
+/// Compatibility shim over the DiagnosticEngine-based verifyModule:
+/// appends each problem to \p Errors as "function 'name': message".
 bool verifyModule(const Module &M, std::vector<std::string> &Errors);
 
 /// Convenience wrapper that aborts with the first error. Used by tests

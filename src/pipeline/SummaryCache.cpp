@@ -24,10 +24,15 @@ std::string SummaryCache::pathFor(const std::string &ModuleName) const {
     Safe += Ok ? C : '_';
   }
   if (Safe.empty())
-    Safe = "_";
-  // Disambiguate names that collide after sanitization.
-  return Dir + "/" + Safe + "-" + std::to_string(fnv1a(ModuleName) & 0xffff) +
-         ".slosum";
+    Safe += '_';
+  // Disambiguate names that collide after sanitization. (Appends rather
+  // than operator+: GCC 12 -O3 raises a false -Wrestrict on the latter.)
+  std::string Path = Dir;
+  return Path.append("/")
+      .append(Safe)
+      .append("-")
+      .append(std::to_string(fnv1a(ModuleName) & 0xffff))
+      .append(".slosum");
 }
 
 SummaryCache::LoadStatus SummaryCache::load(const std::string &ModuleName,

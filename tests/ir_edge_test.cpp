@@ -36,6 +36,32 @@ TEST(VerifierEdge, UseBeforeDefAcrossBlocksRejected) {
   EXPECT_NE(Errors[0].find("definition"), std::string::npos);
 }
 
+TEST(VerifierEdge, UseInUnreachableBlockAccepted) {
+  // Dominance says nothing about unreachable code: a def in one dead
+  // block may feed a use in another dead block it does not dominate.
+  IRContext Ctx;
+  TypeContext &T = Ctx.getTypes();
+  Module M(Ctx, "m");
+  Function *F = M.createFunction(T.getFunctionType(T.getI64(), {}), "f");
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *DeadDef = F->createBlock("dead.def");
+  BasicBlock *DeadOther = F->createBlock("dead.other");
+  BasicBlock *DeadUse = F->createBlock("dead.use");
+  IRBuilder B(Ctx);
+  B.setInsertPoint(Entry);
+  B.createRet(Ctx.getInt64(0));
+  B.setInsertPoint(DeadDef);
+  Value *Def =
+      B.createBinary(Instruction::OpAdd, Ctx.getInt64(1), Ctx.getInt64(2));
+  B.createBr(DeadUse);
+  B.setInsertPoint(DeadOther);
+  B.createBr(DeadUse);
+  B.setInsertPoint(DeadUse);
+  B.createRet(Def);
+  std::vector<std::string> Errors;
+  EXPECT_TRUE(verifyModule(M, Errors)) << Errors.front();
+}
+
 TEST(VerifierEdge, BranchToForeignFunctionRejected) {
   IRContext Ctx;
   TypeContext &T = Ctx.getTypes();

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace slo;
 
 namespace {
@@ -21,6 +23,11 @@ struct SemCase {
   const char *Source;
   int64_t Expected;
 };
+
+// gtest's default printer dumps the struct's bytes, which include the
+// addresses of Name and Source; those leak into the discovered ctest names
+// and change from build to build. Print the case name instead.
+void PrintTo(const SemCase &C, std::ostream *OS) { *OS << C.Name; }
 
 class Semantics : public ::testing::TestWithParam<SemCase> {};
 
