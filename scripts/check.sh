@@ -92,6 +92,15 @@ ENGINE_RC=0
 python3 scripts/bench_compare.py --engine-compare \
   build/BENCH_table3_walker.json build/BENCH_table3_vm.json || ENGINE_RC=$?
 
+# Table 1 gate: the Legal/Proven/Relax census exits nonzero when
+# Legal <= Proven <= Relax breaks, and its stdout (every column plus a
+# sample discharge diagnostic) must equal the checked-in baseline.
+echo "=== Table 1 legality census (subset gate + baseline) ==="
+TABLE1_RC=0
+./build/bench/bench_table1_legality > build/BENCH_table1.txt || TABLE1_RC=$?
+cmp build/BENCH_table1.txt bench/baselines/BENCH_table1.txt \
+  || { echo "Table 1 diverged from bench/baselines/BENCH_table1.txt"; TABLE1_RC=1; }
+
 # Sampled-profile smoke: collect a sampled (Caliper stand-in) DMISS
 # profile through the driver, write it out, plan from the file in a
 # second process, then run a short fuzz sweep where every oracle must
@@ -262,8 +271,8 @@ ulimit -s 262144 2>/dev/null || true
 ASAN_RC=0
 ctest --test-dir build-asan --output-on-failure -j"$J" || ASAN_RC=$?
 
-if [[ $PLAIN_RC -ne 0 || $ASAN_RC -ne 0 || $FUZZ_RC -ne 0 || $SAMPLED_RC -ne 0 || $LINT_RC -ne 0 || $VM_RC -ne 0 || $ENGINE_RC -ne 0 || $INC_RC -ne 0 || $SVC_RC -ne 0 ]]; then
-  echo "=== FAILED (plain ctest: $PLAIN_RC, sanitized ctest: $ASAN_RC, fuzz: $FUZZ_RC, sampled smoke: $SAMPLED_RC, lint: $LINT_RC, vm engine: $VM_RC, engine gate: $ENGINE_RC, incremental: $INC_RC, service: $SVC_RC) ==="
+if [[ $PLAIN_RC -ne 0 || $ASAN_RC -ne 0 || $FUZZ_RC -ne 0 || $SAMPLED_RC -ne 0 || $LINT_RC -ne 0 || $VM_RC -ne 0 || $ENGINE_RC -ne 0 || $TABLE1_RC -ne 0 || $INC_RC -ne 0 || $SVC_RC -ne 0 ]]; then
+  echo "=== FAILED (plain ctest: $PLAIN_RC, sanitized ctest: $ASAN_RC, fuzz: $FUZZ_RC, sampled smoke: $SAMPLED_RC, lint: $LINT_RC, vm engine: $VM_RC, engine gate: $ENGINE_RC, table 1: $TABLE1_RC, incremental: $INC_RC, service: $SVC_RC) ==="
   exit 1
 fi
 echo "=== all checks passed ==="

@@ -126,6 +126,7 @@ private:
   std::set<std::pair<const IndirectCallInst *, const Function *>> Wired;
   std::set<const IndirectCallInst *> ExtRouted;
 
+  std::map<const RecordType *, std::vector<ObjectID>> ObjectsByView;
   PointsToStats Stats;
 
   // Union-find -------------------------------------------------------------
@@ -723,7 +724,31 @@ void PointsToBuilder::computeViews() {
     for (uint32_t C : Pts[find(ValNode[V])])
       Objects[CellObject[C]].Views.insert(R);
   }
+  // Invert the views once, so objectsViewedAs need not scan every object.
+  for (ObjectID O = 0; O < Objects.size(); ++O)
+    for (RecordType *R : Objects[O].Views)
+      ObjectsByView[R].push_back(O);
 }
+
+namespace {
+
+/// Fills a compressed-row index of \p NumRows rows. \p ForEachEntry
+/// calls its argument with every (row, entry) pair, in the order each
+/// row should list its entries; it runs twice, to size and to fill.
+template <typename ForEachEntryFn>
+void buildRows(size_t NumRows, ForEachEntryFn ForEachEntry,
+               std::vector<uint32_t> &Begin, std::vector<uint32_t> &Entries) {
+  Begin.assign(NumRows + 1, 0);
+  ForEachEntry([&](uint32_t Row, uint32_t) { ++Begin[Row + 1]; });
+  for (size_t R = 0; R < NumRows; ++R)
+    Begin[R + 1] += Begin[R];
+  Entries.resize(Begin[NumRows]);
+  std::vector<uint32_t> Next(Begin.begin(), Begin.end() - 1);
+  ForEachEntry(
+      [&](uint32_t Row, uint32_t Entry) { Entries[Next[Row]++] = Entry; });
+}
+
+} // namespace
 
 PointsToResult PointsToBuilder::finish() {
   PointsToResult Res;
@@ -739,6 +764,30 @@ PointsToResult PointsToBuilder::finish() {
       Res.NodePointsTo[N].assign(Pts[N].begin(), Pts[N].end());
   for (const auto &[V, N] : ValNode)
     Res.ValueNode.emplace(V, find(N));
+
+  // The alias indexes: tracked values per node, then, per cell, the
+  // nodes that point at it and denote at least one tracked value.
+  std::vector<uint32_t> NodeOf;
+  NodeOf.reserve(TrackedValues.size());
+  for (const Value *V : TrackedValues)
+    NodeOf.push_back(find(ValNode.at(V)));
+  buildRows(
+      Parent.size(),
+      [&](auto Emit) {
+        for (uint32_t Pos = 0; Pos < NodeOf.size(); ++Pos)
+          Emit(NodeOf[Pos], Pos);
+      },
+      Res.NodeValueBegin, Res.NodeValues);
+  buildRows(
+      CellNode.size(),
+      [&](auto Emit) {
+        for (uint32_t N = 0; N < Parent.size(); ++N)
+          if (Res.NodeValueBegin[N] != Res.NodeValueBegin[N + 1])
+            for (uint32_t C : Res.NodePointsTo[N])
+              Emit(C, N);
+      },
+      Res.CellNodeBegin, Res.CellNodes);
+  Res.ObjectsByView = std::move(ObjectsByView);
 
   // Resolve indirect calls from the final callee-pointer sets.
   for (const IndirectCallInst *IC : IndirectCalls) {
@@ -849,20 +898,35 @@ bool PointsToResult::mayAlias(const Value *A, const Value *B) const {
 }
 
 std::vector<const Value *> PointsToResult::aliasesOf(const Value *V) const {
+  auto It = ValueNode.find(V);
+  if (It == ValueNode.end())
+    return TrackedValues;
+  // The nodes that may alias V: its own, and each node sharing a cell.
+  uint32_t Node = It->second;
+  std::vector<uint32_t> Nodes{Node};
+  for (uint32_t C : NodePointsTo[Node])
+    Nodes.insert(Nodes.end(), CellNodes.begin() + CellNodeBegin[C],
+                 CellNodes.begin() + CellNodeBegin[C + 1]);
+  std::sort(Nodes.begin(), Nodes.end());
+  Nodes.erase(std::unique(Nodes.begin(), Nodes.end()), Nodes.end());
+  // Their values, back in TrackedValues order: the first blocking alias
+  // names a refinement fact, so the order is part of the output.
+  std::vector<uint32_t> Positions;
+  for (uint32_t N : Nodes)
+    Positions.insert(Positions.end(), NodeValues.begin() + NodeValueBegin[N],
+                     NodeValues.begin() + NodeValueBegin[N + 1]);
+  std::sort(Positions.begin(), Positions.end());
   std::vector<const Value *> Out;
-  for (const Value *W : TrackedValues)
-    if (W == V || mayAlias(V, W))
-      Out.push_back(W);
+  Out.reserve(Positions.size());
+  for (uint32_t Pos : Positions)
+    Out.push_back(TrackedValues[Pos]);
   return Out;
 }
 
 std::vector<PointsToResult::ObjectID>
 PointsToResult::objectsViewedAs(const RecordType *R) const {
-  std::vector<ObjectID> Out;
-  for (ObjectID O = 0; O < Objects.size(); ++O)
-    if (Objects[O].Views.count(const_cast<RecordType *>(R)))
-      Out.push_back(O);
-  return Out;
+  auto It = ObjectsByView.find(R);
+  return It == ObjectsByView.end() ? std::vector<ObjectID>() : It->second;
 }
 
 PointsToResult::CallTargets

@@ -116,11 +116,19 @@ public:
 
   /// All values (instructions, arguments, globals-as-addresses) whose
   /// points-to set intersects \p V's: everything that may denote the same
-  /// memory cell. Includes \p V itself.
+  /// memory cell. Includes \p V itself. The result follows
+  /// trackedValues() order; an untracked \p V aliases every tracked value.
+  /// Answered from inverted indexes, so the cost follows the size of the
+  /// answer rather than the number of tracked values.
   std::vector<const Value *> aliasesOf(const Value *V) const;
 
-  /// Objects whose memory is viewed as record \p R somewhere.
+  /// Objects whose memory is viewed as record \p R somewhere, ascending.
   std::vector<ObjectID> objectsViewedAs(const RecordType *R) const;
+
+  /// Every tracked (non-constant) value, in visitation order.
+  const std::vector<const Value *> &trackedValues() const {
+    return TrackedValues;
+  }
 
   /// Resolution of an indirect call: the possible targets, and whether
   /// the set is complete (the callee pointer cannot point outside the
@@ -147,6 +155,14 @@ private:
   std::vector<MemObject> Objects;
   /// Values in visitation order (for aliasesOf).
   std::vector<const Value *> TrackedValues;
+  /// Inverted alias indexes, in compressed-row form: the tracked values
+  /// (positions in TrackedValues, ascending) per representative node, and
+  /// the representative nodes whose points-to set holds each cell. Row N
+  /// of an index is [Begin[N], Begin[N + 1]).
+  std::vector<uint32_t> NodeValueBegin, NodeValues;
+  std::vector<uint32_t> CellNodeBegin, CellNodes;
+  /// Record -> objects viewed as it (ascending object ids).
+  std::map<const RecordType *, std::vector<ObjectID>> ObjectsByView;
   std::map<const IndirectCallInst *, CallTargets> IndirectTargets;
   PointsToStats Stats;
 };

@@ -19,9 +19,11 @@ Function::~Function() {
   // Drop all operand references up front so that cross-block references
   // (and references to this function's arguments) are gone before any
   // value is destroyed.
+  Instruction::BulkDrop Drop;
   for (auto &BB : Blocks)
     for (auto &I : BB->instructions())
-      I->dropAllReferences();
+      Drop.add(I.get());
+  Drop.finish();
 }
 
 BasicBlock *Function::createBlock(const std::string &BlockName) {

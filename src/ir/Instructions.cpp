@@ -7,6 +7,8 @@
 #include "support/Casting.h"
 #include "support/Error.h"
 
+#include <algorithm>
+
 using namespace slo;
 
 Instruction::~Instruction() { dropAllReferences(); }
@@ -16,6 +18,34 @@ void Instruction::dropAllReferences() {
     if (Op)
       Op->removeUser(this);
   Operands.clear();
+}
+
+void Instruction::BulkDrop::add(Instruction *I) {
+  constexpr size_t ShortList = 16;
+  for (Value *Op : I->Operands) {
+    if (!Op)
+      continue;
+    if (Op->Users.size() <= ShortList) {
+      Op->removeUser(I);
+      continue;
+    }
+    // Long lists stay untouched until finish(), so this one stays long.
+    Long.push_back(Op);
+    if (!I->Dropping) {
+      I->Dropping = true;
+      Marked.push_back(I);
+    }
+  }
+  I->Operands.clear();
+}
+
+void Instruction::BulkDrop::finish() {
+  std::sort(Long.begin(), Long.end());
+  Long.erase(std::unique(Long.begin(), Long.end()), Long.end());
+  for (Value *V : Long)
+    std::erase_if(V->Users, [](const Instruction *U) { return U->Dropping; });
+  for (Instruction *I : Marked)
+    I->Dropping = false;
 }
 
 Function *Instruction::getFunction() const {

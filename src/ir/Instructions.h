@@ -127,6 +127,21 @@ public:
   /// before destruction, and by the destructor as a safety net.
   void dropAllReferences();
 
+  /// Drops the operand uses of many instructions, as a module or function
+  /// does before destroying its body. A short user list is edited in
+  /// place. A long one is filtered once by finish(), so dropping n uses
+  /// of one value costs O(n log n), not the O(n^2) of n single removals.
+  class BulkDrop {
+  public:
+    void add(Instruction *I);
+    /// Completes the drop; call it once, after the last add.
+    void finish();
+
+  private:
+    std::vector<Value *> Long;
+    std::vector<Instruction *> Marked;
+  };
+
   static bool classof(const Value *V) {
     return V->getKind() == VK_Instruction;
   }
@@ -140,6 +155,8 @@ protected:
 private:
   friend class BasicBlock;
   Opcode Op;
+  /// Set only while a BulkDrop is in progress.
+  bool Dropping = false;
   BasicBlock *Parent = nullptr;
   std::vector<Value *> Operands;
 };

@@ -9,11 +9,14 @@ using namespace slo;
 Module::~Module() {
   // Address-taken functions and globals are operands of instructions in
   // other functions; drop every operand reference before destroying any
-  // value so the use-list invariants hold throughout destruction.
+  // value so the use-list invariants hold throughout destruction. A bulk
+  // drop keeps a value with many uses from making this quadratic.
+  Instruction::BulkDrop Drop;
   for (auto &F : Funcs)
     for (auto &BB : F->blocks())
       for (auto &I : BB->instructions())
-        I->dropAllReferences();
+        Drop.add(I.get());
+  Drop.finish();
 }
 
 Function *Module::createFunction(FunctionType *FnTy,

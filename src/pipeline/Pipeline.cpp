@@ -96,6 +96,12 @@ PipelineResult slo::runStructLayoutPipeline(Module &M,
                                  Opts.Scheme == WeightScheme::DMISS_NO;
     R.Plans = planLayout(M, R.Legality, R.Stats, Planner,
                          Opts.UseProvenLegality ? &R.Refined : nullptr);
+    for (RecordType *Rec : R.Legality.types())
+      if (Rec->isOpaque())
+        R.Diags
+            .report(DiagSeverity::Note, "opaque",
+                    "type has no body in this program; not planned")
+            .RecordName = Rec->getRecordName();
   }
 
   // BE phase.

@@ -191,6 +191,10 @@ std::vector<TypePlan> slo::planLayout(const Module &M,
                                       const RefinementResult *Refine) {
   std::vector<TypePlan> Plans;
   for (RecordType *Rec : Legal.types()) {
+    // A record this program only names through pointers has no layout
+    // to plan.
+    if (Rec->isOpaque())
+      continue;
     const TypeLegality &L = Legal.get(Rec);
     const TypeFieldStats *S = Stats.get(Rec);
     const TypeRefinement *TR = Refine ? Refine->get(Rec) : nullptr;

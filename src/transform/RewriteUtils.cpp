@@ -37,69 +37,96 @@ Type *slo::remapType(TypeContext &Types, Type *Ty, RecordType *From,
   return Ty;
 }
 
-void slo::retypeModuleForRecord(Module &M, RecordType *From, RecordType *To) {
+TouchedFunctions TouchedSet::inModuleOrder(const Module &M) const {
+  TouchedFunctions Out;
+  for (const auto &F : M.functions())
+    if (contains(F.get()))
+      Out.push_back(F.get());
+  return Out;
+}
+
+void slo::substituteRecord(Module &M, RecordType *From, RecordType *To,
+                           std::vector<FieldAddrInst *> &FieldAccesses,
+                           TouchedSet &Touched) {
   TypeContext &Types = M.getTypes();
   IRContext &Ctx = M.getContext();
+  ConstantInt *NewSizeOf = Ctx.getSizeOf(To);
 
+  // Globals and signatures first, so the instruction walk below can tell
+  // which operands and callees changed type.
+  std::unordered_set<const Value *> Retyped;
   for (const auto &G : M.globals()) {
     Type *NewTy = remapType(Types, G->getValueType(), From, To);
-    if (NewTy != G->getValueType())
+    if (NewTy != G->getValueType()) {
       G->setValueType(Types, NewTy);
+      Retyped.insert(G.get());
+    }
   }
-
   for (const auto &F : M.functions()) {
-    // Function signature (arguments retype via their own walk below).
     auto *NewFnTy = cast<FunctionType>(
         remapType(Types, F->getFunctionType(), From, To));
-    if (NewFnTy != F->getFunctionType())
+    if (NewFnTy != F->getFunctionType()) {
       F->retype(Types, NewFnTy);
-
+      Retyped.insert(F.get());
+      Touched.insert(F.get());
+    }
     for (unsigned A = 0; A < F->getNumArgs(); ++A) {
       Argument *Arg = F->getArg(A);
       Type *NewTy = remapType(Types, Arg->getType(), From, To);
-      if (NewTy != Arg->getType())
+      if (NewTy != Arg->getType()) {
         Arg->mutateType(NewTy);
+        Touched.insert(F.get());
+      }
     }
+  }
 
+  for (const auto &F : M.functions()) {
+    bool Changed = false;
     for (const auto &BB : F->blocks()) {
       for (const auto &I : BB->instructions()) {
         if (auto *A = dyn_cast<AllocaInst>(I.get())) {
           Type *NewTy = remapType(Types, A->getAllocatedType(), From, To);
-          if (NewTy != A->getAllocatedType())
+          if (NewTy != A->getAllocatedType()) {
             A->setAllocatedType(Types, NewTy);
+            Changed = true;
+          }
         } else {
           Type *NewTy = remapType(Types, I->getType(), From, To);
-          if (NewTy != I->getType())
+          if (NewTy != I->getType()) {
             I->mutateType(NewTy);
+            Changed = true;
+          }
         }
-        // Null-pointer constants are uniqued per type; swap operands.
+        if (auto *FA = dyn_cast<FieldAddrInst>(I.get())) {
+          if (FA->getRecord() == From) {
+            FieldAccesses.push_back(FA);
+            Changed = true;
+          }
+        } else if (auto *Call = dyn_cast<CallInst>(I.get())) {
+          Changed |= Retyped.count(Call->getCallee()) != 0;
+        }
         for (unsigned Op = 0; Op < I->getNumOperands(); ++Op) {
-          if (auto *Null = dyn_cast<ConstantNull>(I->getOperand(Op))) {
+          Value *V = I->getOperand(Op);
+          if (auto *Null = dyn_cast<ConstantNull>(V)) {
+            // Null-pointer constants are uniqued per type; swap operands.
             Type *NewTy = remapType(Types, Null->getType(), From, To);
-            if (NewTy != Null->getType())
-              I->setOperand(Op,
-                            Ctx.getNullPtr(cast<PointerType>(NewTy)));
+            if (NewTy != Null->getType()) {
+              I->setOperand(Op, Ctx.getNullPtr(cast<PointerType>(NewTy)));
+              Changed = true;
+            }
+          } else if (auto *C = dyn_cast<ConstantInt>(V)) {
+            if (C->getSizeOfRecord() == From) {
+              I->setOperand(Op, NewSizeOf);
+              Changed = true;
+            }
+          } else if (isa<GlobalVariable>(V) || isa<Function>(V)) {
+            Changed |= Retyped.count(V) != 0;
           }
         }
       }
     }
-  }
-}
-
-void slo::rewriteSizeofConstants(Module &M, RecordType *From,
-                                 RecordType *To) {
-  IRContext &Ctx = M.getContext();
-  ConstantInt *NewConst = Ctx.getSizeOf(To);
-  for (const auto &F : M.functions()) {
-    for (const auto &BB : F->blocks()) {
-      for (const auto &I : BB->instructions()) {
-        for (unsigned Op = 0; Op < I->getNumOperands(); ++Op) {
-          auto *C = dyn_cast<ConstantInt>(I->getOperand(Op));
-          if (C && C->getSizeOfRecord() == From)
-            I->setOperand(Op, NewConst);
-        }
-      }
-    }
+    if (Changed)
+      Touched.insert(F.get());
   }
 }
 

@@ -3,7 +3,6 @@
 #include "transform/StructPeel.h"
 
 #include "ir/IRBuilder.h"
-#include "ir/Verifier.h"
 #include "support/Casting.h"
 #include "support/Error.h"
 #include "transform/RewriteUtils.h"
@@ -138,10 +137,16 @@ public:
   PeelResult run() {
     assert(Plan.Kind == TransformKind::Peel && "not a peel plan");
     assert(Info.Peelable && "peeling an unpeelable type");
+    // The peel rewrites the allocation and every user of the peeled
+    // global; nothing else mentions the old or the new records.
+    TouchedSet Touched;
+    Touched.insert(Info.Site.Alloc->getFunction());
+    for (Instruction *U : Info.PeelGlobal->users())
+      Touched.insert(U->getFunction());
     buildGroups();
     rewriteAllocationSite();
     rewriteUses();
-    verifyModuleOrDie(M);
+    Result.Touched = Touched.inModuleOrder(M);
     return Result;
   }
 

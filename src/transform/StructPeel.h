@@ -30,6 +30,7 @@
 
 #include "analysis/Legality.h"
 #include "transform/Plan.h"
+#include "transform/RewriteUtils.h"
 
 namespace slo {
 
@@ -52,10 +53,13 @@ struct PeelResult {
   std::vector<GlobalVariable *> GroupGlobals;
   /// Old field index -> (group number, index within group record).
   std::map<unsigned, std::pair<unsigned, unsigned>> FieldMap;
+  /// The functions the peel may have changed, in module order.
+  TouchedFunctions Touched;
 };
 
 /// Applies a Peel plan. \p Info must come from analyzePeelability on the
-/// same module. The module is verified on exit.
+/// same module. Verifying the result is the caller's job: applyPlans
+/// verifies Touched after each plan.
 PeelResult applyStructPeel(Module &M, const TypePlan &Plan,
                            const PeelabilityInfo &Info);
 

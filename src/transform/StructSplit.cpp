@@ -3,7 +3,6 @@
 #include "transform/StructSplit.h"
 
 #include "ir/IRBuilder.h"
-#include "ir/Verifier.h"
 #include "support/Casting.h"
 #include "support/Error.h"
 #include "transform/RewriteUtils.h"
@@ -24,14 +23,14 @@ public:
   SplitResult run() {
     assert(Plan.Kind == TransformKind::Split && "not a split plan");
     buildNewRecords();
-    retypeModuleForRecord(M, Plan.Rec, Result.HotRec);
-    rewriteFieldAccesses();
+    // Every attributed sizeof(T) becomes sizeof(T.hot), the allocation
+    // sizes included; rewriteAllocSize handles the plain-constant forms.
+    std::vector<FieldAddrInst *> Accesses;
+    substituteRecord(M, Plan.Rec, Result.HotRec, Accesses, Touched);
+    rewriteFieldAccesses(Accesses);
     rewriteAllocationSites();
     rewriteFreeSites();
-    // Any remaining attributed sizeof(T) becomes sizeof(T.hot); the
-    // allocation sites were already rewritten explicitly above.
-    rewriteSizeofConstants(M, Plan.Rec, Result.HotRec);
-    verifyModuleOrDie(M);
+    Result.Touched = Touched.inModuleOrder(M);
     return Result;
   }
 
@@ -77,16 +76,9 @@ private:
     Result.ColdRec = Cold;
   }
 
-  void rewriteFieldAccesses() {
-    // Snapshot first: we will erase and insert instructions.
-    std::vector<FieldAddrInst *> Accesses;
-    for (const auto &F : M.functions())
-      for (const auto &BB : F->blocks())
-        for (const auto &I : BB->instructions())
-          if (auto *FA = dyn_cast<FieldAddrInst>(I.get()))
-            if (FA->getRecord() == Plan.Rec)
-              Accesses.push_back(FA);
-
+  /// Rewrites the FieldAddr instructions on the old record, collected
+  /// by the substitution walk before any of them is erased.
+  void rewriteFieldAccesses(const std::vector<FieldAddrInst *> &Accesses) {
     for (FieldAddrInst *FA : Accesses) {
       unsigned OldIdx = FA->getFieldIndex();
       auto MapIt = Result.FieldMap.find(OldIdx);
@@ -138,6 +130,7 @@ private:
 
   void rewriteAllocationSites() {
     for (const AllocSiteInfo &Site : Legal.AllocSites) {
+      Touched.insert(Site.Alloc->getFunction());
       // Retarget the original allocation's size to the hot record.
       rewriteAllocSize(Site.Alloc, Result.HotRec);
       if (!Result.ColdRec)
@@ -208,7 +201,8 @@ private:
   }
 
   /// Swaps the sizeof(T) factor inside the allocation's size expression
-  /// for sizeof(NewRec).
+  /// for sizeof(NewRec). An attributed sizeof(T) was already swapped by
+  /// the substitution walk; only plain constants are left to rewrite.
   void rewriteAllocSize(Instruction *Alloc, RecordType *NewRec) {
     ConstantInt *NewSize = Ctx.getSizeOf(NewRec);
     int64_t OldSize = static_cast<int64_t>(Plan.Rec->getSize());
@@ -216,10 +210,8 @@ private:
     auto RewriteOperand = [&](Instruction *I, unsigned Op) {
       Value *V = I->getOperand(Op);
       if (auto *C = dyn_cast<ConstantInt>(V)) {
-        if (C->getSizeOfRecord() == Plan.Rec) {
-          I->setOperand(Op, NewSize);
+        if (C == NewSize)
           return true;
-        }
         if (!C->isSizeOf() && C->getValue() % OldSize == 0) {
           // Plain constant N*sizeof folded by the programmer.
           int64_t N = C->getValue() / OldSize;
@@ -229,15 +221,11 @@ private:
         }
       }
       if (auto *Mul = dyn_cast<BinaryInst>(V)) {
-        // Prefer the attributed sizeof(T) operand; a plain constant count
+        // Prefer the attributed sizeof operand; a plain constant count
         // can numerically collide with sizeof(T).
-        for (unsigned Side = 0; Side < 2; ++Side) {
-          auto *C = dyn_cast<ConstantInt>(Mul->getOperand(Side));
-          if (C && C->getSizeOfRecord() == Plan.Rec) {
-            Mul->setOperand(Side, NewSize);
+        for (unsigned Side = 0; Side < 2; ++Side)
+          if (Mul->getOperand(Side) == NewSize)
             return true;
-          }
-        }
         for (unsigned Side = 0; Side < 2; ++Side) {
           auto *C = dyn_cast<ConstantInt>(Mul->getOperand(Side));
           if (C && !C->isSizeOf() && C->getValue() == OldSize) {
@@ -264,6 +252,7 @@ private:
       return;
     for (Instruction *FreeI : Legal.FreeSites) {
       auto *Fr = cast<FreeInst>(FreeI);
+      Touched.insert(Fr->getFunction());
       // free(p): free p->cold_link first (p points at element 0, whose
       // link is the cold array base).
       B.setInsertBefore(Fr);
@@ -281,6 +270,7 @@ private:
   const TypePlan &Plan;
   const TypeLegality &Legal;
   IRBuilder B;
+  TouchedSet Touched;
   SplitResult Result;
 };
 

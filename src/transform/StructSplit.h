@@ -27,6 +27,7 @@
 
 #include "analysis/Legality.h"
 #include "transform/Plan.h"
+#include "transform/RewriteUtils.h"
 
 namespace slo {
 
@@ -42,11 +43,14 @@ struct SplitResult {
   /// Old-field-index -> (record, new index). Dead/unused fields are
   /// absent.
   std::map<unsigned, std::pair<RecordType *, unsigned>> FieldMap;
+  /// The functions the split may have changed, in module order.
+  TouchedFunctions Touched;
 };
 
 /// Applies a Split plan to \p M. \p Legal must be the legality info of
 /// the SAME module (its alloc-site records are used to rewrite the
-/// allocations). The module is verified on exit.
+/// allocations). Verifying the result is the caller's job: applyPlans
+/// verifies Touched after each plan.
 SplitResult applyStructSplit(Module &M, const TypePlan &Plan,
                              const TypeLegality &Legal);
 

@@ -2,13 +2,38 @@
 
 #include "transform/Transform.h"
 
+#include "ir/Verifier.h"
+#include "support/Diagnostics.h"
+#include "support/Error.h"
 #include "support/Format.h"
 
 using namespace slo;
 
+/// Verifies the functions one plan touched; aborts naming the plan.
+static void verifyPlanOrDie(const AppliedTransform &Applied) {
+  DiagnosticEngine Diags;
+  for (const Function *F : Applied.touched()) {
+    if (verifyFunction(*F, Diags))
+      continue;
+    const Diagnostic &D = Diags.all().front();
+    reportFatalError(formatString(
+        "verification failed after %s of '%s': function '%s': %s",
+        Applied.Plan.Kind == TransformKind::Peel ? "peel" : "split",
+        Applied.Plan.Rec->getRecordName().c_str(), D.Function.c_str(),
+        D.Message.c_str()));
+  }
+}
+
 TransformSummary slo::applyPlans(Module &M,
                                  const std::vector<TypePlan> &Plans,
                                  const LegalityResult &Legal) {
+  return applyPlans(M, Plans, Legal, nullptr);
+}
+
+TransformSummary slo::applyPlans(Module &M,
+                                 const std::vector<TypePlan> &Plans,
+                                 const LegalityResult &Legal,
+                                 const PlanRewriteHook &AfterRewrite) {
   TransformSummary Summary;
 
   // Peels first, splits second; the sets of affected types are disjoint
@@ -47,10 +72,17 @@ TransformSummary slo::applyPlans(Module &M,
             static_cast<unsigned>(Plan.DeadFields.size() +
                                   Plan.UnusedFields.size())));
       }
+      if (AfterRewrite)
+        AfterRewrite(M, Applied);
+      verifyPlanOrDie(Applied);
       ++Summary.TypesTransformed;
       Summary.FieldsSplitOrDead += Plan.splitOrDeadCount();
       Summary.Applied.push_back(std::move(Applied));
     }
   }
+  // The per-plan checks cover what each plan touched; one full verify
+  // backs them up against a touched set that missed a function.
+  if (Summary.TypesTransformed)
+    verifyModuleOrDie(M);
   return Summary;
 }

@@ -19,6 +19,7 @@
 #include "transform/StructPeel.h"
 #include "transform/StructSplit.h"
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,11 @@ struct AppliedTransform {
   TypePlan Plan;
   SplitResult Split; // Valid when Plan.Kind == Split.
   PeelResult Peel;   // Valid when Plan.Kind == Peel.
+
+  /// The functions this plan's rewrite may have changed.
+  const TouchedFunctions &touched() const {
+    return Plan.Kind == TransformKind::Peel ? Peel.Touched : Split.Touched;
+  }
 };
 
 /// Aggregate outcome of the BE phase.
@@ -43,10 +49,21 @@ struct TransformSummary {
 };
 
 /// Applies every non-noop plan to \p M. \p Legal must have been computed
-/// on the same (pre-transformation) module. Verifies the module after
-/// each transformation.
+/// on the same (pre-transformation) module. After each plan it verifies
+/// the functions that plan touched, so a bad rewrite aborts naming its
+/// plan; after the last plan it verifies the whole module once.
 TransformSummary applyPlans(Module &M, const std::vector<TypePlan> &Plans,
                             const LegalityResult &Legal);
+
+/// Runs between one plan's rewrite and its verification.
+using PlanRewriteHook =
+    std::function<void(Module &, const AppliedTransform &)>;
+
+/// applyPlans with \p AfterRewrite called after each plan's rewrite. The
+/// tests use it to watch (or deliberately break) individual plans.
+TransformSummary applyPlans(Module &M, const std::vector<TypePlan> &Plans,
+                            const LegalityResult &Legal,
+                            const PlanRewriteHook &AfterRewrite);
 
 } // namespace slo
 

@@ -279,6 +279,34 @@ TEST(DominatorsTest, TwentyThousandFlatIfsStayFast) {
   EXPECT_TRUE(Stats.types().empty());
 }
 
+TEST(IrTeardownTest, TwentyThousandFlatIfsTearDownFast) {
+  // The variable and the constant 1 each have ~20k users here. Removing
+  // those users one instruction at a time scans a user list per removal,
+  // which is quadratic; the module's bulk drop filters each list once.
+  std::string Src = "long g;\nint main() {\n  long x = g;\n";
+  for (unsigned I = 0; I < 20000; ++I)
+    Src += "  if (x) { x = x + 1; }\n";
+  Src += "  return (int) x;\n}\n";
+  Compiled C = compile(Src.c_str());
+  ASSERT_TRUE(C.M);
+  auto Start = std::chrono::steady_clock::now();
+  C.M.reset();
+  C.Ctx.reset();
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  // The bulk drop takes ~0.03 s on a 4-vCPU Xeon (RelWithDebInfo) and
+  // ~0.07 s under ASan; one-at-a-time removal took 0.5-0.7 s there, and
+  // 5.8 s under ASan.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) ||          \
+    !defined(__OPTIMIZE__)
+  constexpr double BoundSeconds = 2.5;
+#else
+  constexpr double BoundSeconds = 0.25;
+#endif
+  EXPECT_LT(Seconds, BoundSeconds);
+}
+
 TEST(LoopInfoTest, TripleNestDepths) {
   Compiled C = compile(R"(
     long f(long n) {

@@ -10,8 +10,18 @@
 #include "ir/Module.h"
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <set>
+#include <sstream>
 
 using namespace slo;
 
@@ -306,6 +316,150 @@ TEST(PointsToTest, DistinctAllocationsDoNotAlias) {
   ASSERT_EQ(B.size(), 1u);
   EXPECT_NE(A[0], B[0]);
   EXPECT_GE(R.PT.stats().NumObjects, 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// The alias index against a brute-force scan
+//===----------------------------------------------------------------------===//
+
+/// Compiles every Table 3 workload and every committed corpus program and
+/// hands each module to \p Visit under a stable name.
+static void
+forEachProgram(const std::function<void(const std::string &, Module &)> &Visit) {
+  for (const Workload &W : allWorkloads()) {
+    IRContext Ctx;
+    std::vector<std::string> Diags;
+    auto M = compileProgram(Ctx, W.Name, W.Sources, Diags);
+    ASSERT_TRUE(M) << W.Name;
+    Visit(W.Name, *M);
+  }
+  std::vector<std::filesystem::path> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(SLO_CORPUS_DIR))
+    if (Entry.path().extension() == ".minic")
+      Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+  for (const auto &Path : Files) {
+    std::ifstream In(Path);
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    IRContext Ctx;
+    std::vector<std::string> Diags;
+    auto M = compileMiniC(Ctx, Path.filename().string(), Buf.str(), Diags);
+    ASSERT_TRUE(M) << Path;
+    Visit(Path.filename().string(), *M);
+  }
+}
+
+/// What aliasesOf answered before the index: every tracked value that
+/// may alias \p V, in tracked order.
+static std::vector<const Value *> bruteForceAliases(const PointsToResult &PT,
+                                                    const Value *V) {
+  std::vector<const Value *> Out;
+  for (const Value *W : PT.trackedValues())
+    if (W == V || PT.mayAlias(V, W))
+      Out.push_back(W);
+  return Out;
+}
+
+TEST(PointsToIndexTest, MatchesBruteForceOnWorkloadsAndCorpus) {
+  forEachProgram([](const std::string &Name, Module &M) {
+    LegalityResult Legal = analyzeLegality(M);
+    PointsToResult PT = analyzePointsTo(M);
+    const std::vector<const Value *> &Tracked = PT.trackedValues();
+    ASSERT_FALSE(Tracked.empty()) << Name;
+
+    // Every site refinement asks about, a stride over all tracked values,
+    // a constant the program uses, and a value the analysis never saw.
+    std::vector<const Value *> Queries;
+    for (RecordType *R : Legal.types())
+      for (const ViolationSite &S : Legal.get(R).Sites)
+        if (S.Inst && (S.Kind == Violation::CSTF || S.Kind == Violation::ATKN))
+          Queries.push_back(S.Inst);
+    size_t Stride = std::max<size_t>(1, Tracked.size() / 64);
+    for (size_t I = 0; I < Tracked.size(); I += Stride)
+      Queries.push_back(Tracked[I]);
+    for (const auto &F : M.functions())
+      for (const auto &BB : F->blocks())
+        for (const auto &I : BB->instructions())
+          for (const Value *Op : I->operands())
+            if (isa<ConstantNull>(Op) && !isa<ConstantNull>(Queries.back()))
+              Queries.push_back(Op);
+    Queries.push_back(M.getContext().getInt64(0x5107ab1e));
+
+    for (const Value *V : Queries)
+      ASSERT_EQ(PT.aliasesOf(V), bruteForceAliases(PT, V))
+          << Name << ": aliases of '" << V->getName() << "'";
+
+    for (RecordType *R : M.getTypes().records()) {
+      std::vector<PointsToResult::ObjectID> Expected;
+      for (PointsToResult::ObjectID O = 0; O < PT.numObjects(); ++O)
+        if (PT.object(O).Views.count(R))
+          Expected.push_back(O);
+      EXPECT_EQ(PT.objectsViewedAs(R), Expected)
+          << Name << ": objects viewed as '" << R->getRecordName() << "'";
+    }
+  });
+}
+
+/// One line per type (proven, transform-safe) and one per site proof.
+static std::string renderRefinement(const Module &M) {
+  LegalityResult Legal = analyzeLegality(M);
+  PointsToResult PT = analyzePointsTo(M);
+  RefinementResult Refined = refineLegality(M, Legal, PT);
+  std::string Out;
+  for (RecordType *R : Refined.types()) {
+    const TypeRefinement *TR = Refined.get(R);
+    Out += "type " + R->getRecordName() +
+           " proven=" + std::to_string(TR->ProvenLegal) +
+           " safe=" + std::to_string(TR->TransformSafe) + "\n";
+    for (const SiteProof &P : TR->Proofs)
+      Out += std::string("  ") + violationName(P.Site->Kind) +
+             (P.Discharged ? " discharged: " : " blocked: ") + P.Fact + "\n";
+  }
+  return Out;
+}
+
+static uint64_t fnv1a(const std::string &S) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (unsigned char C : S)
+    H = (H ^ C) * 0x100000001b3ull;
+  return H;
+}
+
+TEST(PointsToIndexTest, RefinementVerdictsAndFactsUnchanged) {
+  // Digests of renderRefinement, recorded with the scan-based aliasesOf
+  // and objectsViewedAs the indexes replaced. The first blocking alias
+  // names a fact, so a reordered alias list moves a digest.
+  const std::map<std::string, uint64_t> Recorded = {
+      {"181.mcf", 0x2f9636afc28c5c77ull},
+      {"179.art", 0x73e53e7625327e55ull},
+      {"milc", 0x3664c38586b17ec9ull},
+      {"cactusADM", 0xba8cb14980413a57ull},
+      {"gobmk", 0xc69f780af635c80full},
+      {"povray", 0x4801332f5ac1f4d7ull},
+      {"calculix", 0xfe41c43a6d39ae13ull},
+      {"h264avc", 0x4be89c7961a7784cull},
+      {"moldyn", 0xfb18a6daafe4393full},
+      {"lucille", 0x70d611f3674244eaull},
+      {"sphinx", 0xf816073c0e9c84daull},
+      {"ssearch", 0xa6e46ec4ed36a6daull},
+      {"cast_pun.minic", 0xe330d2cf6a2d499full},
+      {"fnptr_fields.minic", 0xe1185b92a918ed9bull},
+      {"hotcold_split.minic", 0xf8f18811005d8c76ull},
+      {"memcpy_stream.minic", 0xbbc699460c71078full},
+      {"nested_chase.minic", 0x0088d62665d91ebdull},
+      {"realloc_buckets.minic", 0x2e84c52a9960b904ull},
+  };
+  std::set<std::string> Seen;
+  forEachProgram([&](const std::string &Name, Module &M) {
+    Seen.insert(Name);
+    auto It = Recorded.find(Name);
+    ASSERT_NE(It, Recorded.end()) << "no recorded digest for " << Name;
+    std::string Text = renderRefinement(M);
+    EXPECT_EQ(fnv1a(Text), It->second) << Name << ":\n" << Text;
+  });
+  EXPECT_EQ(Seen.size(), Recorded.size());
 }
 
 } // namespace

@@ -189,7 +189,7 @@ TEST(SampledPmuUnit, EstimatesScaleByPeriod) {
                       /*Latency=*/7);
   Pmu.finishRun();
   ASSERT_EQ(Pmu.estimates().size(), 1u);
-  const SampledPmu::SiteEstimate &E = Pmu.estimates()[0];
+  const SampledPmu::SiteEstimate E = Pmu.estimates()[0];
   EXPECT_EQ(E.Loads, 1000u);  // 100 samples * period 10.
   EXPECT_EQ(E.Misses, 1000u); // Every access missed.
   EXPECT_DOUBLE_EQ(E.TotalLatency, 7000.0);
@@ -295,7 +295,7 @@ TEST(SampledPmuUnit, DlatModeCapturesOnlyThresholdLatencies) {
     Pmu.observeAccess(S, false, true, 200);
   Pmu.finishRun();
   ASSERT_EQ(Pmu.estimates().size(), 1u);
-  const SampledPmu::SiteEstimate &E = Pmu.estimates()[0];
+  const SampledPmu::SiteEstimate E = Pmu.estimates()[0];
   // Latency comes from the DLAT counter alone: the short loads' cycles
   // are not in the total.
   EXPECT_DOUBLE_EQ(E.TotalLatency, 2000.0);

@@ -4,11 +4,20 @@
 #include "analysis/WeightSchemes.h"
 #include "frontend/Frontend.h"
 #include "ir/IRPrinter.h"
+#include "pipeline/Pipeline.h"
 #include "runtime/Interpreter.h"
+#include "support/Casting.h"
 #include "transform/LayoutPlanner.h"
 #include "transform/Transform.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 using namespace slo;
 
@@ -408,6 +417,95 @@ TEST(SplitTest, MultipleTypesInOneProgram) {
   RunResult After = runProgram(*C.M, withN(600));
   ASSERT_FALSE(After.Trapped) << After.TrapReason;
   EXPECT_EQ(Before.PrintedInts, After.PrintedInts);
+}
+
+//===----------------------------------------------------------------------===//
+// Per-plan verification scope
+//===----------------------------------------------------------------------===//
+
+/// Plans \p M with the default one-shot pipeline, then applies the plans
+/// one at a time. After each plan, every function whose printed text
+/// changed must be in that plan's touched set. Returns the plans applied.
+static unsigned checkTouchedCoversChanges(Module &M, const std::string &Name) {
+  PipelineOptions Opts;
+  Opts.AnalyzeOnly = true;
+  PipelineResult R = runStructLayoutPipeline(M, Opts);
+  std::map<const Function *, std::string> Text;
+  for (const auto &F : M.functions())
+    Text[F.get()] = printFunction(*F);
+  unsigned Plans = 0;
+  applyPlans(M, R.Plans, R.Legality,
+             [&](Module &, const AppliedTransform &A) {
+               ++Plans;
+               const TouchedFunctions &Touched = A.touched();
+               EXPECT_FALSE(Touched.empty())
+                   << Name << ": " << A.Plan.Rec->getRecordName();
+               for (const auto &F : M.functions()) {
+                 std::string Now = printFunction(*F);
+                 if (Now == Text[F.get()])
+                   continue;
+                 EXPECT_NE(std::find(Touched.begin(), Touched.end(), F.get()),
+                           Touched.end())
+                     << Name << ": the plan for '"
+                     << A.Plan.Rec->getRecordName() << "' changed '"
+                     << F->getName() << "' without touching it";
+                 Text[F.get()] = std::move(Now);
+               }
+             });
+  return Plans;
+}
+
+TEST(VerifyScopeTest, TouchedSetCoversEveryChangedFunction) {
+  unsigned Plans = 0;
+  for (const Workload &W : allWorkloads()) {
+    IRContext Ctx;
+    std::vector<std::string> Diags;
+    auto M = compileProgram(Ctx, W.Name, W.Sources, Diags);
+    ASSERT_TRUE(M) << W.Name;
+    Plans += checkTouchedCoversChanges(*M, W.Name);
+  }
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(SLO_CORPUS_DIR)) {
+    if (Entry.path().extension() != ".minic")
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    Compiled C = compile(Buf.str().c_str());
+    ASSERT_TRUE(C.M) << Entry.path();
+    Plans += checkTouchedCoversChanges(*C.M, Entry.path().filename().string());
+  }
+  for (const char *Src : {SplitWorkload, PeelWorkload}) {
+    Compiled C = compile(Src);
+    Plans += checkTouchedCoversChanges(*C.M, "inline workload");
+  }
+  EXPECT_GT(Plans, 50u);
+}
+
+TEST(VerifyScopeDeathTest, CorruptRewriteCaughtAtItsPlan) {
+  // A rewrite that leaves one access on the old record: the per-plan
+  // check must stop at this split, before the final whole-module verify
+  // (whose message would start "module verification failed").
+  auto Corrupt = [](Module &M, const AppliedTransform &A) {
+    for (Function *F : A.touched())
+      for (const auto &BB : F->blocks())
+        for (const auto &I : BB->instructions())
+          if (auto *FA = dyn_cast<FieldAddrInst>(I.get()))
+            if (FA->getRecord() == A.Split.HotRec) {
+              FA->setTarget(M.getTypes(), A.Plan.Rec, 0);
+              return;
+            }
+    FAIL() << "no access on the new record to corrupt";
+  };
+  EXPECT_DEATH(
+      {
+        Compiled C = compile(SplitWorkload);
+        LegalityResult Legal = analyzeLegality(*C.M);
+        std::vector<TypePlan> Plans = planStatic(*C.M, Legal);
+        applyPlans(*C.M, Plans, Legal, Corrupt);
+      },
+      "verification failed after split of 'item': function '.*': fieldaddr "
+      "base does not point to the accessed record");
 }
 
 } // namespace
