@@ -1,46 +1,37 @@
-//===- bench/bench_service.cpp - Advisory daemon service benchmark --------===//
+//===- bench/bench_service.cpp - Advisory daemon telemetry tax ------------===//
 //
 // Part of syzygy-slo, a reproduction of "Practical Structure Layout
 // Optimization and Advice" (Hundt, Mannarswamy, Chakrabarti; CGO 2006).
 //
-// The SLO-as-a-service daemon under load, measured end to end through
-// the wire protocol (socketpair transport, same code path as TCP):
+// What always-on telemetry costs the SLO-as-a-service daemon, measured
+// through the wire protocol (socketpair transport, same code path as
+// TCP). Two daemons run in this process over the same generated corpus:
 //
-//   - ingest latency: N producer connections stream PutSource upserts
-//     from a generated corpus (RetryAfter honored and counted); the
-//     artifact carries the p50/p99 round-trip latency;
-//   - advice throughput: M reader connections hammer GET_ADVICE for a
-//     fixed duration, three rounds; the artifact carries the best
-//     round's QPS (capacity, robust to scheduler noise);
-//   - the serve-equals-oneshot invariant: after all the load, the
-//     daemon's advice must be byte-identical to a monolithic
-//     runIncrementalAdvice over the same TU set. The bench exits 1 on
-//     divergence even before bench_compare.py sees the artifact.
+//   - the telemetry-on daemon keeps counters, latency histograms and
+//     the flight recorder, as slo_served does by default;
+//   - the telemetry-off daemon has null registries and flight recorder
+//     depth 0, so its request path reads no clock at all.
 //
-// Wall times are real wall clock, so the JSON artifact is NOT
-// byte-stable across runs; scripts/bench_compare.py --service gates
-// the invariant flags and generous ratio floors, never exact numbers.
+// Each daemon is fed the corpus through one client, and both must then
+// serve advice byte-identical to a monolithic runIncrementalAdvice over
+// the same TU set. The on-daemon's service.latency.PutSource histogram
+// must count exactly one observation per PutSource frame sent (TUs fed
+// plus RetryAfter resends), and GetMetrics must serve the same count.
 //
-// Client-side percentiles come from the shared observability Histogram
-// (the same log-bucketed type behind the daemon's GetMetrics endpoint),
-// so the bench and the endpoint agree bucket-for-bucket. With
-// --telemetry on (the default) the daemon itself runs with counters and
-// histograms wired, and the bench cross-checks the daemon's own
-// service.latency.PutSource count against the requests it sent — an
-// exact, scheduling-independent equality. --overhead measures the
-// telemetry tax in-process: a second daemon with telemetry fully off
-// (no registries, flight recorder depth 0 — zero clock reads) serves
-// the same corpus, one thread alternates single requests between the
-// two daemons so machine drift cancels pairwise, and the artifact
-// carries overhead_qps_ratio (the median per-round on/off QPS ratio)
-// for scripts/bench_compare.py --service-overhead, the gate proving
-// always-on telemetry costs at most a few percent of QPS.
+// Comparing two separate bench invocations confounds the tax with
+// machine drift between them (run-to-run QPS moves more than the 5%
+// budget). So one thread alternates single GetAdvice requests between
+// the two daemons for seven rounds, and the artifact carries
+// overhead_qps_ratio, the median per-round on/off QPS ratio, for
+// scripts/bench_compare.py --service-overhead.
 //
-//   bench_service [--tus N] [--producers N] [--readers N] [--ops N]
-//                 [--duration-ms D] [--seed S] [--telemetry on|off]
-//                 [--overhead] [--out FILE]
+// Throughput and latency under concurrent load are perfbench's
+// serve_mixed workload, not this bench's.
 //
-// Writes BENCH_service.json.
+//   bench_service [--tus N] [--duration-ms D] [--seed S] [--out FILE]
+//
+// Writes BENCH_service.json. Exits 1 when either daemon's advice
+// diverges from the one-shot run or the telemetry counts disagree.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,18 +40,14 @@
 #include "fuzz/ProgramFuzzer.h"
 #include "observability/CounterRegistry.h"
 #include "observability/Histogram.h"
-#include "support/Error.h"
 #include "pipeline/Incremental.h"
 #include "service/AdvisoryDaemon.h"
 #include "service/ServiceClient.h"
+#include "support/Error.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <functional>
-#include <thread>
-#include <unistd.h>
 
 using namespace slo;
 using namespace slo::bench;
@@ -68,27 +55,45 @@ using namespace slo::service;
 
 namespace {
 
-double wallMs(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - T0)
-      .count();
+/// Opens one client connection to \p D over a socketpair.
+int connectTo(AdvisoryDaemon &D) {
+  int Fds[2];
+  if (!makeSocketPair(Fds))
+    reportFatalError("bench_service: socketpair failed");
+  if (!D.adoptConnection(Fds[0]))
+    reportFatalError("bench_service: daemon refused a connection");
+  return Fds[1];
 }
 
-uint64_t wallMicros(std::chrono::steady_clock::time_point T0) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - T0)
-          .count());
+/// Streams every TU into \p D through one client; returns the number of
+/// RetryAfter resends.
+uint64_t feed(AdvisoryDaemon &D, const std::vector<TuSource> &TUs) {
+  ServiceClient Feeder(connectTo(D), 30000);
+  uint64_t Retries = 0;
+  for (const TuSource &Tu : TUs) {
+    unsigned R = 0;
+    if (!Feeder
+             .putWithRetry(Opcode::PutSource,
+                           encodePutSource(Tu.Name, Tu.Source), 1000, &R)
+             .ok())
+      reportFatalError("bench_service: ingest of " + Tu.Name + " failed");
+    Retries += R;
+  }
+  return Retries;
+}
+
+bool servesOracle(AdvisoryDaemon &D, const std::string &Oracle) {
+  ServiceClient C(connectTo(D), 30000);
+  ServiceReply R = C.getAdvice(false);
+  return R.Transport && R.Op == Opcode::Advice && R.Text == Oracle;
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  unsigned Units = 24, Producers = 4, Readers = 4, OpsPerProducer = 60;
+  unsigned Units = 24;
   unsigned DurationMs = 1500;
   uint64_t Seed = 42;
-  bool Telemetry = true;
-  bool Overhead = false;
   std::string OutPath = "BENCH_service.json";
   for (int I = 1; I < argc; ++I) {
     auto Next = [&]() -> const char * {
@@ -97,222 +102,86 @@ int main(int argc, char **argv) {
     if (std::strcmp(argv[I], "--tus") == 0) {
       if (const char *V = Next())
         Units = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
-    } else if (std::strcmp(argv[I], "--producers") == 0) {
-      if (const char *V = Next())
-        Producers = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
-    } else if (std::strcmp(argv[I], "--readers") == 0) {
-      if (const char *V = Next())
-        Readers = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
-    } else if (std::strcmp(argv[I], "--ops") == 0) {
-      if (const char *V = Next())
-        OpsPerProducer = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
     } else if (std::strcmp(argv[I], "--duration-ms") == 0) {
       if (const char *V = Next())
         DurationMs = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
     } else if (std::strcmp(argv[I], "--seed") == 0) {
       if (const char *V = Next())
         Seed = std::strtoull(V, nullptr, 10);
-    } else if (std::strcmp(argv[I], "--telemetry") == 0) {
-      const char *V = Next();
-      if (V && std::strcmp(V, "on") == 0)
-        Telemetry = true;
-      else if (V && std::strcmp(V, "off") == 0)
-        Telemetry = false;
-      else {
-        std::fprintf(stderr, "--telemetry expects on|off\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[I], "--overhead") == 0) {
-      Overhead = true;
     } else if (std::strcmp(argv[I], "--out") == 0) {
       if (const char *V = Next())
         OutPath = V;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_service [--tus N] [--producers N] "
-                   "[--readers N] [--ops N] [--duration-ms D] [--seed S] "
-                   "[--telemetry on|off] [--overhead] [--out FILE]\n");
+      std::fprintf(stderr, "usage: bench_service [--tus N] [--duration-ms D] "
+                           "[--seed S] [--out FILE]\n");
       return 2;
     }
   }
   if (Units < 2)
     Units = 2;
-  if (Producers < 1)
-    Producers = 1;
-  if (Readers < 1)
-    Readers = 1;
 
   std::vector<FuzzTu> Corpus = generateFuzzCorpus(Seed, Units);
   std::vector<TuSource> TUs;
   for (const FuzzTu &Tu : Corpus)
     TUs.push_back({Tu.FileName, Tu.Program.render()});
 
-  DaemonConfig Config;
-  Config.Summary.Lint = false;
-  Config.IngestQueueDepth = Producers; // Some shedding under full load.
-  Config.RetryAfterMillis = 2;
-  // --telemetry off is the PR 3 contract daemon: null registries, no
-  // clock reads on the request path. The overhead gate compares the two.
+  SummaryOptions Summary;
+  Summary.Lint = false;
   CounterRegistry DaemonCounters;
   HistogramRegistry DaemonHist;
-  if (Telemetry) {
-    Config.Counters = &DaemonCounters;
-    Config.Hist = &DaemonHist;
-  } else {
-    Config.FlightRecorderDepth = 0; // Fully off: no clock on the path.
-  }
-  if (Overhead && !Telemetry) {
-    std::fprintf(stderr,
-                 "--overhead compares against a telemetry-off daemon; run "
-                 "it with --telemetry on\n");
-    return 2;
-  }
-  SummaryOptions OracleOpts = Config.Summary;
-  AdvisoryDaemon Daemon(std::move(Config));
+  DaemonConfig OnConfig;
+  OnConfig.Summary = Summary;
+  OnConfig.Counters = &DaemonCounters;
+  OnConfig.Hist = &DaemonHist;
+  AdvisoryDaemon OnDaemon(std::move(OnConfig));
+  DaemonConfig OffConfig;
+  OffConfig.Summary = Summary;
+  OffConfig.FlightRecorderDepth = 0; // Fully off: no clock on the path.
+  AdvisoryDaemon OffDaemon(std::move(OffConfig));
 
-  auto Connect = [&]() -> int {
-    int Fds[2];
-    if (!makeSocketPair(Fds))
-      reportFatalError("bench_service: socketpair failed");
-    if (!Daemon.adoptConnection(Fds[0]))
-      reportFatalError("bench_service: daemon refused a connection");
-    return Fds[1];
-  };
+  std::printf("bench_service: %zu TUs, 7 paired rounds x %u ms (seed %llu)\n",
+              TUs.size(), DurationMs, static_cast<unsigned long long>(Seed));
 
-  std::printf("bench_service: %zu TUs, %u producers x %u ops, %u readers x "
-              "%u ms (seed %llu, telemetry %s)\n",
-              TUs.size(), Producers, OpsPerProducer, Readers, DurationMs,
-              static_cast<unsigned long long>(Seed),
-              Telemetry ? "on" : "off");
+  uint64_t Retries = feed(OnDaemon, TUs);
+  feed(OffDaemon, TUs);
 
   //===--------------------------------------------------------------------===//
-  // Phase 1: ingest latency under N producers
+  // The invariant: serve equals oneshot, byte for byte, on both daemons
   //===--------------------------------------------------------------------===//
-  // Client-observed round-trip latency, recorded in microseconds into
-  // the shared log-bucketed Histogram (each producer thread writes its
-  // own shard; the merged snapshot is deterministic).
-  Histogram IngestLat;
-  std::atomic<uint64_t> Retries{0};
-  std::atomic<unsigned> IngestFailures{0};
-  auto IngestT0 = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> Threads;
-    for (unsigned P = 0; P < Producers; ++P) {
-      Threads.emplace_back([&, P] {
-        ServiceClient C(Connect(), 30000);
-        for (unsigned I = 0; I < OpsPerProducer; ++I) {
-          const TuSource &Tu = TUs[(P + I * Producers) % TUs.size()];
-          unsigned R = 0;
-          auto T0 = std::chrono::steady_clock::now();
-          ServiceReply Reply =
-              C.putWithRetry(Opcode::PutSource,
-                             encodePutSource(Tu.Name, Tu.Source), 1000, &R);
-          IngestLat.record(wallMicros(T0));
-          Retries += R;
-          if (!Reply.ok())
-            ++IngestFailures;
-        }
-      });
-    }
-    for (auto &T : Threads)
-      T.join();
-  }
-  double IngestWallMs = wallMs(IngestT0);
-  if (IngestFailures.load())
-    reportFatalError("bench_service: ingest failures under load");
-
-  HistogramSnapshot IngestSnap = IngestLat.snapshot();
-  double P50 = static_cast<double>(IngestSnap.quantile(0.50)) / 1000.0;
-  double P99 = static_cast<double>(IngestSnap.quantile(0.99)) / 1000.0;
-  uint64_t IngestOps = IngestSnap.Count;
-
-  //===--------------------------------------------------------------------===//
-  // Phase 2: advice QPS under M readers — best of 3 rounds. One wall-
-  // clock round is hostage to scheduler luck on a shared container; the
-  // max across rounds measures serving capacity, which is the quantity
-  // the ±5% telemetry-overhead gate compares.
-  //===--------------------------------------------------------------------===//
-  std::atomic<unsigned> AdviceFailures{0};
-  // One timed reader round against the given connector; returns the
-  // round's QPS and accumulates request count / wall time if asked.
-  auto QpsRound = [&](const std::function<int()> &Conn, uint64_t *OpsOut,
-                      double *WallOut) -> double {
-    std::atomic<uint64_t> Ok{0};
-    auto T0 = std::chrono::steady_clock::now();
-    {
-      std::vector<std::thread> Threads;
-      for (unsigned R = 0; R < Readers; ++R) {
-        Threads.emplace_back([&] {
-          ServiceClient C(Conn(), 30000);
-          auto Deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(DurationMs);
-          while (std::chrono::steady_clock::now() < Deadline) {
-            ServiceReply Reply = C.getAdvice(false);
-            if (Reply.Transport && Reply.Op == Opcode::Advice)
-              ++Ok;
-            else
-              ++AdviceFailures;
-          }
-        });
-      }
-      for (auto &T : Threads)
-        T.join();
-    }
-    double Ms = wallMs(T0);
-    if (OpsOut)
-      *OpsOut += Ok.load();
-    if (WallOut)
-      *WallOut += Ms;
-    return Ms > 0 ? static_cast<double>(Ok.load()) / (Ms / 1000.0) : 0.0;
-  };
-
-  uint64_t AdviceRequests = 0;
-  double AdviceWallMs = 0.0;
-  double Qps = 0.0;
-  constexpr unsigned QpsRounds = 3;
-  for (unsigned Round = 0; Round < QpsRounds; ++Round)
-    Qps = std::max(Qps, QpsRound(Connect, &AdviceRequests, &AdviceWallMs));
-  if (AdviceFailures.load())
-    reportFatalError("bench_service: advice failures under load");
-
-  //===--------------------------------------------------------------------===//
-  // The invariant: serve equals oneshot, byte for byte
-  //===--------------------------------------------------------------------===//
-  std::sort(TUs.begin(), TUs.end(),
+  std::vector<TuSource> Sorted = TUs;
+  std::sort(Sorted.begin(), Sorted.end(),
             [](const TuSource &A, const TuSource &B) { return A.Name < B.Name; });
   IncrementalOptions O;
-  O.Summary = OracleOpts;
-  IncrementalResult Oracle = runIncrementalAdvice(TUs, O);
+  O.Summary = Summary;
+  IncrementalResult Oracle = runIncrementalAdvice(Sorted, O);
   if (!Oracle.Ok)
     reportFatalError("bench_service: oracle corpus failed to compile");
-
-  ServiceClient C(Connect(), 30000);
-  ServiceReply Served = C.getAdvice(false);
-  bool Identical = Served.Transport && Served.Op == Opcode::Advice &&
-                   Served.Text == Oracle.AdviceText;
+  bool Identical = servesOracle(OnDaemon, Oracle.AdviceText);
+  bool OffIdentical = servesOracle(OffDaemon, Oracle.AdviceText);
 
   //===--------------------------------------------------------------------===//
-  // Telemetry cross-checks (with --telemetry on)
+  // Telemetry cross-check
   //===--------------------------------------------------------------------===//
   // The daemon's own PutSource latency histogram must have seen exactly
-  // one observation per PutSource frame: every producer op plus every
+  // one observation per PutSource frame: every TU fed plus every
   // RetryAfter resend. Counts are scheduling-independent, so this is an
   // equality, not a tolerance.
   bool TelemetryOk = true;
-  HistogramSnapshot DaemonPut;
-  if (Telemetry) {
-    DaemonPut = DaemonHist.get("service.latency.PutSource").snapshot();
-    uint64_t Expected = IngestOps + Retries.load();
-    if (DaemonPut.Count != Expected) {
-      std::fprintf(stderr,
-                   "bench_service: daemon PutSource histogram count %llu != "
-                   "ops+retries %llu\n",
-                   static_cast<unsigned long long>(DaemonPut.Count),
-                   static_cast<unsigned long long>(Expected));
-      TelemetryOk = false;
-    }
+  HistogramSnapshot DaemonPut =
+      DaemonHist.get("service.latency.PutSource").snapshot();
+  uint64_t Expected = TUs.size() + Retries;
+  if (DaemonPut.Count != Expected) {
+    std::fprintf(stderr,
+                 "bench_service: daemon PutSource histogram count %llu != "
+                 "TUs+retries %llu\n",
+                 static_cast<unsigned long long>(DaemonPut.Count),
+                 static_cast<unsigned long long>(Expected));
+    TelemetryOk = false;
+  }
+  {
     // The wire endpoint must serve the same merged snapshot the
     // in-process registry renders.
+    ServiceClient C(connectTo(OnDaemon), 30000);
     ServiceReply M = C.getMetrics(0);
     std::string Want = "\"service.latency.PutSource\": {\"count\": " +
                        std::to_string(DaemonPut.Count);
@@ -327,151 +196,91 @@ int main(int argc, char **argv) {
   }
 
   //===--------------------------------------------------------------------===//
-  // --overhead: the telemetry tax, measured honestly
+  // The telemetry tax, paired request by request
   //===--------------------------------------------------------------------===//
-  // Comparing two separate bench invocations confounds the tax with
-  // machine drift between them (run-to-run QPS moves more than the 5%
-  // budget). Instead a second daemon with telemetry fully off (null
-  // registries, flight recorder depth 0 — no clock reads at all) serves
-  // the same corpus, and single requests alternate between the two
-  // daemons so drift hits both configurations pairwise.
+  // One thread alternates single requests between the two daemons, so
+  // every on-request is bracketed by off-requests issued microseconds
+  // apart — the tightest pairing ambient load allows. Competing reader
+  // pools or adjacent timed windows both showed ±5% swings from
+  // scheduler slice allocation alone (the container may have a single
+  // core); per-request alternation cancels that drift pairwise. Each
+  // round's ratio is (sum of off latencies) / (sum of on latencies),
+  // i.e. the on/off QPS ratio at saturation, and the gated statistic
+  // is the MEDIAN round ratio so a preemption spike landing inside
+  // one round cannot tip the gate.
+  constexpr unsigned OverheadRounds = 7;
   double QpsOn = 0.0, QpsOff = 0.0, QpsRatio = 1.0;
-  bool OffIdentical = true;
-  if (Overhead) {
-    DaemonConfig OffConfig;
-    OffConfig.Summary = OracleOpts;
-    OffConfig.IngestQueueDepth = Producers;
-    OffConfig.RetryAfterMillis = 2;
-    OffConfig.FlightRecorderDepth = 0;
-    AdvisoryDaemon OffDaemon(std::move(OffConfig));
-    auto ConnectOff = [&]() -> int {
-      int Fds[2];
-      if (!makeSocketPair(Fds))
-        reportFatalError("bench_service: socketpair failed");
-      if (!OffDaemon.adoptConnection(Fds[0]))
-        reportFatalError("bench_service: off-daemon refused a connection");
-      return Fds[1];
-    };
-    {
-      ServiceClient Feeder(ConnectOff(), 30000);
-      for (const TuSource &Tu : TUs)
-        if (!Feeder
-                 .putWithRetry(Opcode::PutSource,
-                               encodePutSource(Tu.Name, Tu.Source), 1000)
-                 .ok())
-          reportFatalError("bench_service: off-daemon ingest failed");
-      ServiceReply R = Feeder.getAdvice(false);
-      OffIdentical = R.Transport && R.Op == Opcode::Advice &&
-                     R.Text == Oracle.AdviceText;
-    }
-    // One thread alternates single requests between the two daemons, so
-    // every on-request is bracketed by off-requests issued microseconds
-    // apart — the tightest pairing ambient load allows. Competing reader
-    // pools or adjacent timed windows both showed ±5% swings from
-    // scheduler slice allocation alone (the container may have a single
-    // core); per-request alternation cancels that drift pairwise. Each
-    // round's ratio is (sum of off latencies) / (sum of on latencies),
-    // i.e. the on/off QPS ratio at saturation, and the gated statistic
-    // is the MEDIAN round ratio so a preemption spike landing inside
-    // one round cannot tip the gate.
-    constexpr unsigned OverheadRounds = 7;
-    std::vector<double> Ratios;
-    ServiceClient Con(Connect(), 30000);
-    ServiceClient Coff(ConnectOff(), 30000);
-    for (unsigned Round = 0; Round < OverheadRounds; ++Round) {
-      uint64_t OnUs = 0, OffUs = 0, Pairs = 0;
-      auto Deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(DurationMs);
-      while (std::chrono::steady_clock::now() < Deadline) {
-        bool OnFirst = (Pairs % 2 == 0);
-        for (int Leg = 0; Leg < 2; ++Leg) {
-          bool IsOn = (Leg == 0) == OnFirst;
-          auto S = std::chrono::steady_clock::now();
-          ServiceReply Reply = (IsOn ? Con : Coff).getAdvice(false);
-          auto E = std::chrono::steady_clock::now();
-          if (!(Reply.Transport && Reply.Op == Opcode::Advice))
-            ++AdviceFailures;
-          uint64_t Us = static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(E - S)
-                  .count());
-          (IsOn ? OnUs : OffUs) += Us;
-        }
-        ++Pairs;
+  uint64_t AdviceRequests = 0, AdviceFailures = 0;
+  std::vector<double> Ratios;
+  ServiceClient Con(connectTo(OnDaemon), 30000);
+  ServiceClient Coff(connectTo(OffDaemon), 30000);
+  for (unsigned Round = 0; Round < OverheadRounds; ++Round) {
+    uint64_t OnUs = 0, OffUs = 0, Pairs = 0;
+    auto Deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(DurationMs);
+    while (std::chrono::steady_clock::now() < Deadline) {
+      bool OnFirst = (Pairs % 2 == 0);
+      for (int Leg = 0; Leg < 2; ++Leg) {
+        bool IsOn = (Leg == 0) == OnFirst;
+        auto S = std::chrono::steady_clock::now();
+        ServiceReply Reply = (IsOn ? Con : Coff).getAdvice(false);
+        auto E = std::chrono::steady_clock::now();
+        if (Reply.Transport && Reply.Op == Opcode::Advice)
+          ++AdviceRequests;
+        else
+          ++AdviceFailures;
+        (IsOn ? OnUs : OffUs) += static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(E - S)
+                .count());
       }
-      if (OnUs > 0 && OffUs > 0 && Pairs > 0) {
-        QpsOn = std::max(QpsOn, static_cast<double>(Pairs) /
-                                    (static_cast<double>(OnUs) / 1e6));
-        QpsOff = std::max(QpsOff, static_cast<double>(Pairs) /
-                                      (static_cast<double>(OffUs) / 1e6));
-        Ratios.push_back(static_cast<double>(OffUs) /
-                         static_cast<double>(OnUs));
-      }
+      ++Pairs;
     }
-    if (!Ratios.empty()) {
-      std::sort(Ratios.begin(), Ratios.end());
-      QpsRatio = Ratios[Ratios.size() / 2];
+    if (OnUs > 0 && OffUs > 0 && Pairs > 0) {
+      QpsOn = std::max(QpsOn, static_cast<double>(Pairs) /
+                                  (static_cast<double>(OnUs) / 1e6));
+      QpsOff = std::max(QpsOff, static_cast<double>(Pairs) /
+                                    (static_cast<double>(OffUs) / 1e6));
+      Ratios.push_back(static_cast<double>(OffUs) /
+                       static_cast<double>(OnUs));
     }
-    if (AdviceFailures.load())
-      reportFatalError("bench_service: advice failures in overhead rounds");
-    OffDaemon.stop();
   }
-  Daemon.stop();
+  if (AdviceFailures)
+    reportFatalError("bench_service: advice failures in overhead rounds");
+  if (!Ratios.empty()) {
+    std::sort(Ratios.begin(), Ratios.end());
+    QpsRatio = Ratios[Ratios.size() / 2];
+  }
+  OffDaemon.stop();
+  OnDaemon.stop();
 
-  std::printf("  ingest  %llu ops in %.1f ms: p50 %.3f ms, p99 %.3f ms, "
-              "%llu retries\n",
-              static_cast<unsigned long long>(IngestOps), IngestWallMs, P50,
-              P99, static_cast<unsigned long long>(Retries.load()));
-  std::printf("  advice  %llu requests in %.1f ms: %.1f qps (best of %u "
-              "rounds)\n",
-              static_cast<unsigned long long>(AdviceRequests), AdviceWallMs,
-              Qps, QpsRounds);
-  std::printf("  advice vs oneshot: %s\n",
-              Identical ? "identical" : "DIVERGED");
-  if (Overhead)
-    std::printf("  overhead  median on/off qps ratio %.3f (best %.1f on, "
-                "%.1f off), off-daemon advice %s\n",
-                QpsRatio, QpsOn, QpsOff,
-                OffIdentical ? "identical" : "DIVERGED");
-  if (Telemetry)
-    std::printf("  daemon  PutSource x %llu: p50 %llu us, p99 %llu us "
-                "(telemetry %s)\n",
-                static_cast<unsigned long long>(DaemonPut.Count),
-                static_cast<unsigned long long>(DaemonPut.quantile(0.50)),
-                static_cast<unsigned long long>(DaemonPut.quantile(0.99)),
-                TelemetryOk ? "consistent" : "INCONSISTENT");
+  std::printf("  advice vs oneshot: %s (on), %s (off)\n",
+              Identical ? "identical" : "DIVERGED",
+              OffIdentical ? "identical" : "DIVERGED");
+  std::printf("  daemon  PutSource x %llu (%llu retries): p50 %llu us, "
+              "p99 %llu us (telemetry %s)\n",
+              static_cast<unsigned long long>(DaemonPut.Count),
+              static_cast<unsigned long long>(Retries),
+              static_cast<unsigned long long>(DaemonPut.quantile(0.50)),
+              static_cast<unsigned long long>(DaemonPut.quantile(0.99)),
+              TelemetryOk ? "consistent" : "INCONSISTENT");
+  std::printf("  overhead  median on/off qps ratio %.3f over %llu requests "
+              "(best %.1f on, %.1f off)\n",
+              QpsRatio, static_cast<unsigned long long>(AdviceRequests), QpsOn,
+              QpsOff);
 
   std::string Json;
   Json += "{\n";
   Json += "  \"bench\": \"service\",\n";
   Json += "  \"tus\": " + std::to_string(TUs.size()) + ",\n";
   Json += "  \"seed\": " + std::to_string(Seed) + ",\n";
-  Json += "  \"producers\": " + std::to_string(Producers) + ",\n";
-  Json += "  \"readers\": " + std::to_string(Readers) + ",\n";
-  Json += std::string("  \"telemetry\": \"") + (Telemetry ? "on" : "off") +
-          "\",\n";
-  Json += "  \"ingest_ops\": " + std::to_string(IngestOps) + ",\n";
-  Json += "  \"ingest_wall_ms\": " + std::to_string(IngestWallMs) + ",\n";
-  Json += "  \"ingest_p50_ms\": " + std::to_string(P50) + ",\n";
-  Json += "  \"ingest_p99_ms\": " + std::to_string(P99) + ",\n";
-  Json += "  \"ingest_retries\": " + std::to_string(Retries.load()) + ",\n";
   Json += "  \"advice_requests\": " + std::to_string(AdviceRequests) + ",\n";
-  Json += "  \"advice_wall_ms\": " + std::to_string(AdviceWallMs) + ",\n";
-  Json += "  \"advice_qps\": " + std::to_string(Qps) + ",\n";
-  Json += "  \"daemon_put_source_count\": " +
-          std::to_string(DaemonPut.Count) + ",\n";
-  Json += "  \"daemon_put_source_p50_us\": " +
-          std::to_string(DaemonPut.quantile(0.50)) + ",\n";
-  Json += "  \"daemon_put_source_p99_us\": " +
-          std::to_string(DaemonPut.quantile(0.99)) + ",\n";
+  Json += "  \"advice_qps_on\": " + std::to_string(QpsOn) + ",\n";
+  Json += "  \"advice_qps_off\": " + std::to_string(QpsOff) + ",\n";
+  Json += "  \"overhead_qps_ratio\": " + std::to_string(QpsRatio) + ",\n";
   Json += std::string("  \"telemetry_consistent\": ") +
           (TelemetryOk ? "true" : "false") + ",\n";
-  if (Overhead) {
-    Json += "  \"advice_qps_on\": " + std::to_string(QpsOn) + ",\n";
-    Json += "  \"advice_qps_off\": " + std::to_string(QpsOff) + ",\n";
-    Json += "  \"overhead_qps_ratio\": " + std::to_string(QpsRatio) + ",\n";
-    Json += std::string("  \"advice_identical_off\": ") +
-            (OffIdentical ? "true" : "false") + ",\n";
-  }
+  Json += std::string("  \"advice_identical_off\": ") +
+          (OffIdentical ? "true" : "false") + ",\n";
   Json += std::string("  \"advice_identical\": ") +
           (Identical ? "true" : "false") + "\n";
   Json += "}\n";
@@ -479,6 +288,6 @@ int main(int argc, char **argv) {
   std::printf("wrote %s\n", OutPath.c_str());
 
   // Smoke gates: byte divergence or a telemetry miscount is wrong
-  // regardless of throughput.
+  // regardless of the ratio.
   return Identical && TelemetryOk && OffIdentical ? 0 : 1;
 }

@@ -140,10 +140,43 @@ cmp build/advice-cold.json build/advice-warm.json \
 ./build/examples/slo_fuzz --runs 20 --seed 21 --incremental-parity \
   --out build/fuzz-repros || INC_RC=$?
 if ./build/examples/slo_fuzz --runs 5 --seed 21 --incremental-parity \
-    --inject-stale-summary >/dev/null 2>&1; then
+    --inject-stale-summary --out build/fuzz-repros >/dev/null 2>&1; then
   echo "incremental-parity oracle is vacuous: --inject-stale-summary was not caught"
   INC_RC=1
 fi
+
+# Heap-layout leg: advice must not depend on where malloc puts things.
+# The two-TU summary-cache run (text and JSON) and --advise --diags-json
+# over the seed corpus run once with default malloc and once with
+# glibc's tcache off and every allocation above 4 KiB mmapped, which
+# moves most heap addresses; the bytes must be identical. An ordering
+# keyed on pointers would show here first.
+echo "=== heap layout (advice independent of malloc placement) ==="
+HEAP_RC=0
+heap_run() { # heap_run default|moved CMD...: CMD under that malloc layout
+  local layout=$1; shift
+  if [[ $layout == moved ]]; then
+    GLIBC_TUNABLES=glibc.malloc.tcache_count=0:glibc.malloc.mmap_threshold=4096 "$@"
+  else
+    "$@"
+  fi
+}
+for layout in default moved; do
+  rm -rf "build/heap-$layout-cache"
+  heap_run "$layout" ./build/examples/slo_driver \
+    --summary-cache "build/heap-$layout-cache" \
+    --advice-json="build/heap-$layout-advice.json" \
+    examples/incremental_a.minic examples/incremental_b.minic \
+    > "build/heap-$layout-advice.txt" 2>/dev/null || HEAP_RC=$?
+  for f in tests/corpus/*.minic; do
+    heap_run "$layout" ./build/examples/slo_driver --advise --diags-json "$f" \
+      || HEAP_RC=$?
+  done > "build/heap-$layout-corpus.txt" 2>&1
+done
+for out in advice.txt advice.json corpus.txt; do
+  cmp "build/heap-default-$out" "build/heap-moved-$out" \
+    || { echo "moving the heap changed $out"; HEAP_RC=1; }
+done
 
 # Service leg: start the advisory daemon on an ephemeral port, stream
 # the two-TU example through the wire protocol, and the served advice
@@ -154,10 +187,9 @@ fi
 # the advice bytes stay untouched), a clean shutdown, the fuzz oracle's
 # vacuity check (a daemon started with --inject-frame-bug must be
 # caught), the flight-recorder dump check on an induced mid-frame
-# stall, and the service bench (run with --overhead, which pairs a
-# telemetry-free daemon in-process) gated against its checked-in
-# baseline plus the telemetry overhead budget.
-echo "=== advisory service (daemon parity + frame fuzz + bench gate) ==="
+# stall, and the service bench (a telemetry-free daemon paired
+# in-process) gated on the telemetry overhead budget.
+echo "=== advisory service (daemon parity + frame fuzz + overhead gate) ==="
 SVC_RC=0
 rm -f build/served.port build/served-bug.port
 ./build/examples/slo_served --port=0 --port-file=build/served.port &
@@ -249,14 +281,12 @@ else
     || { echo "stalled frame produced no flight-recorder timeout dump"; SVC_RC=1; }
 fi
 python3 scripts/promlint.py --self-test || SVC_RC=$?
-# --overhead pairs a second daemon with null registries (the no-clock
-# contract) in the same process, alternating single requests between
-# the two so machine drift cancels — always-on telemetry earns its keep
-# only if the median paired on/off QPS ratio stays within a few percent.
-(cd build && ./bench/bench_service --overhead --out BENCH_service.json) \
-  || SVC_RC=$?
-python3 scripts/bench_compare.py --service build/BENCH_service.json \
-  || SVC_RC=$?
+# bench_service pairs a daemon with null registries (the no-clock
+# contract) against a telemetry-on one in the same process, alternating
+# single requests between the two so machine drift cancels — always-on
+# telemetry earns its keep only if the median paired on/off QPS ratio
+# stays within a few percent.
+(cd build && ./bench/bench_service --out BENCH_service.json) || SVC_RC=$?
 python3 scripts/bench_compare.py \
   --service-overhead build/BENCH_service.json || SVC_RC=$?
 
@@ -271,8 +301,8 @@ ulimit -s 262144 2>/dev/null || true
 ASAN_RC=0
 ctest --test-dir build-asan --output-on-failure -j"$J" || ASAN_RC=$?
 
-if [[ $PLAIN_RC -ne 0 || $ASAN_RC -ne 0 || $FUZZ_RC -ne 0 || $SAMPLED_RC -ne 0 || $LINT_RC -ne 0 || $VM_RC -ne 0 || $ENGINE_RC -ne 0 || $TABLE1_RC -ne 0 || $INC_RC -ne 0 || $SVC_RC -ne 0 ]]; then
-  echo "=== FAILED (plain ctest: $PLAIN_RC, sanitized ctest: $ASAN_RC, fuzz: $FUZZ_RC, sampled smoke: $SAMPLED_RC, lint: $LINT_RC, vm engine: $VM_RC, engine gate: $ENGINE_RC, table 1: $TABLE1_RC, incremental: $INC_RC, service: $SVC_RC) ==="
+if [[ $PLAIN_RC -ne 0 || $ASAN_RC -ne 0 || $FUZZ_RC -ne 0 || $SAMPLED_RC -ne 0 || $LINT_RC -ne 0 || $VM_RC -ne 0 || $ENGINE_RC -ne 0 || $TABLE1_RC -ne 0 || $INC_RC -ne 0 || $HEAP_RC -ne 0 || $SVC_RC -ne 0 ]]; then
+  echo "=== FAILED (plain ctest: $PLAIN_RC, sanitized ctest: $ASAN_RC, fuzz: $FUZZ_RC, sampled smoke: $SAMPLED_RC, lint: $LINT_RC, vm engine: $VM_RC, engine gate: $ENGINE_RC, table 1: $TABLE1_RC, incremental: $INC_RC, heap layout: $HEAP_RC, service: $SVC_RC) ==="
   exit 1
 fi
 echo "=== all checks passed ==="

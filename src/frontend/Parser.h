@@ -11,6 +11,10 @@
 /// parenthesized expressions is resolved with one token of lookahead
 /// (types always start with a type keyword).
 ///
+/// The depth of the AST it builds is bounded (MaxDepth in Parser.cpp):
+/// IRGen and AST teardown recurse on that depth, so hostile nesting
+/// gets a located diagnostic instead of exhausting the stack.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLO_FRONTEND_PARSER_H
@@ -47,6 +51,12 @@ private:
 
   bool atTypeStart() const;
 
+  /// One level of recursive descent (see Parser.cpp).
+  class Level;
+  /// Charges one level of AST depth. Past the limit it reports one
+  /// diagnostic, skips to the end of input and returns false.
+  bool descend();
+
   // Grammar productions.
   void parseTopLevel(TranslationUnit &TU);
   void parseStructDecl(TranslationUnit &TU);
@@ -74,6 +84,11 @@ private:
   std::vector<std::string> &Diags;
   size_t Pos = 0;
   bool HadError = false;
+  /// Levels charged on the current path: recursive productions give
+  /// theirs back on return, operator chains keep theirs until the
+  /// enclosing statement ends.
+  unsigned Depth = 0;
+  bool TooDeep = false;
 };
 
 } // namespace slo

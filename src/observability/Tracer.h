@@ -51,6 +51,13 @@ public:
 
   Tracer() : Epoch(Clock::now()) {}
 
+  /// A tracer whose timestamps count from \p Epoch: a daemon request
+  /// traces from its frame's first byte. Room for the few spans one
+  /// request records is reserved up front, so a request allocates once.
+  explicit Tracer(Clock::time_point Epoch) : Epoch(Epoch) {
+    Events.reserve(8);
+  }
+
   /// Records one completed span. Called by TraceSpan's destructor.
   void record(std::string Name, std::string Category, Clock::time_point Start,
               Clock::time_point End);
@@ -90,10 +97,17 @@ public:
   TraceSpan(const TraceSpan &) = delete;
   TraceSpan &operator=(const TraceSpan &) = delete;
 
-  ~TraceSpan() {
-    if (T)
-      T->record(std::move(Name), std::move(Category), Start,
-                Tracer::Clock::now());
+  ~TraceSpan() { finish(); }
+
+  /// Ends the span before scope exit; later calls are no-ops. Timing a
+  /// lock acquisition reads `TraceSpan W(T, "lock-wait"); lock();
+  /// W.finish();`.
+  void finish() {
+    if (!T)
+      return;
+    T->record(std::move(Name), std::move(Category), Start,
+              Tracer::Clock::now());
+    T = nullptr;
   }
 
 private:

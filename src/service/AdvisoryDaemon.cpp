@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstring>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -296,33 +295,28 @@ void AdvisoryDaemon::handleConnection(Conn *C) {
                   static_cast<uint32_t>(F.Body.size()), 0);
     std::string Response;
     bool KeepOpen;
-    // A Traced request opens a stage trace even with telemetry off:
+    // A Traced request opens a request trace even with telemetry off:
     // the client asked for spans explicitly, so the clock reads are
     // opted into per request.
     if (Timed || F.Op == Opcode::Traced) {
       if (!Timed)
         FirstByte = std::chrono::steady_clock::now();
-      StageTrace ST(FirstByte);
-      {
-        // The frame read itself, ending where dispatch begins.
-        StageTrace::Stage Read;
-        Read.Name = "read";
-        Read.DurMicros =
-            microsSince(FirstByte, std::chrono::steady_clock::now());
-        ST.Stages.push_back(Read);
-      }
-      KeepOpen = dispatch(C, F, Response, &ST);
+      Tracer RequestTrace(FirstByte);
+      // The frame read itself, ending where dispatch begins.
+      RequestTrace.record("read", "phase", FirstByte,
+                          std::chrono::steady_clock::now());
+      KeepOpen = dispatch(C, F, Response, &RequestTrace);
       uint64_t DurUs =
           microsSince(FirstByte, std::chrono::steady_clock::now());
       if (Config.Hist) {
         Config.Hist->record(std::string("service.latency.") +
                                 opcodeName(F.Op),
                             DurUs);
-        for (const StageTrace::Stage &Stage : ST.Stages) {
-          if (std::strcmp(Stage.Name, "lock-wait") == 0)
-            Config.Hist->record("service.lock_wait_us", Stage.DurMicros);
-          else if (std::strcmp(Stage.Name, "dwell") == 0)
-            Config.Hist->record("service.ingest_dwell_us", Stage.DurMicros);
+        for (const Tracer::Event &E : RequestTrace.events()) {
+          if (E.Name == "lock-wait")
+            Config.Hist->record("service.lock_wait_us", E.DurMicros);
+          else if (E.Name == "dwell")
+            Config.Hist->record("service.ingest_dwell_us", E.DurMicros);
         }
       }
       uint16_t ReplyOp =
@@ -356,10 +350,10 @@ void AdvisoryDaemon::handleConnection(Conn *C) {
 }
 
 bool AdvisoryDaemon::dispatch(Conn *C, const Frame &F,
-                              std::string &ResponseBytes, StageTrace *ST) {
+                              std::string &ResponseBytes, Tracer *T) {
   (void)C;
   bool CloseAfter = false;
-  ResponseBytes = handleRequest(F, CloseAfter, ST);
+  ResponseBytes = handleRequest(F, CloseAfter, T);
   return !CloseAfter;
 }
 
@@ -409,7 +403,7 @@ std::string textFrame(Opcode Op, const std::string &Text) {
 } // namespace
 
 std::string AdvisoryDaemon::handleIngest(const Frame &F, bool &CloseAfter,
-                                         StageTrace *ST) {
+                                         Tracer *T) {
   IngestTicket Ticket(IngestInFlight, Config.IngestQueueDepth);
   if (!Ticket.held()) {
     // Reject-with-retry-after: the request was NOT applied, the queue
@@ -422,7 +416,7 @@ std::string AdvisoryDaemon::handleIngest(const Frame &F, bool &CloseAfter,
   // Queue dwell: how long this request held ingest capacity. Tickets
   // never block, so dwell is the applied-work time under the cap —
   // the histogram that shows when the depth is the bottleneck.
-  StageSpan Dwell(ST, "dwell");
+  TraceSpan Dwell(T, "dwell");
   if (Config.TestIngestHook)
     Config.TestIngestHook();
 
@@ -436,7 +430,7 @@ std::string AdvisoryDaemon::handleIngest(const Frame &F, bool &CloseAfter,
     }
     bump("service.ingest_source");
     TraceSpan Span(Config.Trace, "service/put-source", "service");
-    StateResult SR = State.putSource(Module, Source, ST);
+    StateResult SR = State.putSource(Module, Source, T);
     return SR.Ok ? okFrame() : errorFrame(ErrCode::CompileFailed, SR.Error);
   }
   case Opcode::PutSummary: {
@@ -447,7 +441,7 @@ std::string AdvisoryDaemon::handleIngest(const Frame &F, bool &CloseAfter,
     }
     bump("service.ingest_summary");
     TraceSpan Span(Config.Trace, "service/put-summary", "service");
-    StateResult SR = State.putSummary(Text, ST);
+    StateResult SR = State.putSummary(Text, T);
     return SR.Ok ? okFrame() : errorFrame(ErrCode::CorruptPayload, SR.Error);
   }
   case Opcode::PutProfile: {
@@ -458,7 +452,7 @@ std::string AdvisoryDaemon::handleIngest(const Frame &F, bool &CloseAfter,
     }
     bump("service.ingest_profile");
     TraceSpan Span(Config.Trace, "service/put-profile", "service");
-    StateResult SR = State.putProfile(Module, Text, ST);
+    StateResult SR = State.putProfile(Module, Text, T);
     if (SR.Ok)
       return okFrame();
     return errorFrame(SR.Error.rfind("unknown module", 0) == 0
@@ -473,7 +467,7 @@ std::string AdvisoryDaemon::handleIngest(const Frame &F, bool &CloseAfter,
 }
 
 std::string AdvisoryDaemon::handleRequest(const Frame &F, bool &CloseAfter,
-                                          StageTrace *ST) {
+                                          Tracer *T) {
   CloseAfter = false;
   BodyReader R(F.Body);
   switch (F.Op) {
@@ -491,7 +485,7 @@ std::string AdvisoryDaemon::handleRequest(const Frame &F, bool &CloseAfter,
   case Opcode::PutSource:
   case Opcode::PutSummary:
   case Opcode::PutProfile:
-    return handleIngest(F, CloseAfter, ST);
+    return handleIngest(F, CloseAfter, T);
 
   case Opcode::GetAdvice: {
     uint8_t Json = 0;
@@ -501,7 +495,7 @@ std::string AdvisoryDaemon::handleRequest(const Frame &F, bool &CloseAfter,
     }
     bump("service.advice_requests");
     TraceSpan Span(Config.Trace, "service/get-advice", "service");
-    return textFrame(Opcode::Advice, State.getAdvice(Json != 0, ST));
+    return textFrame(Opcode::Advice, State.getAdvice(Json != 0, T));
   }
 
   case Opcode::GetProfile: {
@@ -512,7 +506,7 @@ std::string AdvisoryDaemon::handleRequest(const Frame &F, bool &CloseAfter,
     }
     bump("service.profile_requests");
     std::string Out;
-    StateResult SR = State.getProfile(Module, Out, ST);
+    StateResult SR = State.getProfile(Module, Out, T);
     return SR.Ok ? textFrame(Opcode::Profile, Out)
                  : errorFrame(ErrCode::UnknownModule, SR.Error);
   }
@@ -564,19 +558,20 @@ std::string AdvisoryDaemon::handleRequest(const Frame &F, bool &CloseAfter,
                         "opcode not allowed inside Traced");
     }
     bump("service.traced_requests");
-    std::string InnerReply = handleRequest(Inner, CloseAfter, ST);
-    // Return every stage recorded so far for this request — the outer
+    std::string InnerReply = handleRequest(Inner, CloseAfter, T);
+    // Return every span recorded so far for this request — the outer
     // "read" plus whatever the inner handler added. The propagated ids
     // are echoed, never interpreted: a trace id must not be able to
     // change a single advice byte.
     std::vector<DaemonSpan> Spans;
-    if (ST) {
-      Spans.reserve(ST->Stages.size());
-      for (const StageTrace::Stage &Stage : ST->Stages) {
+    if (T) {
+      std::vector<Tracer::Event> Events = T->events();
+      Spans.reserve(Events.size());
+      for (Tracer::Event &E : Events) {
         DaemonSpan S;
-        S.Name = Stage.Name;
-        S.StartMicros = Stage.StartMicros;
-        S.DurMicros = Stage.DurMicros;
+        S.Name = std::move(E.Name);
+        S.StartMicros = E.StartMicros;
+        S.DurMicros = E.DurMicros;
         Spans.push_back(std::move(S));
       }
     }
@@ -624,7 +619,7 @@ std::string AdvisoryDaemon::handleRequest(const Frame &F, bool &CloseAfter,
         break;
       }
       bool InnerClose = false;
-      Inner += handleRequest(FI, InnerClose, ST);
+      Inner += handleRequest(FI, InnerClose, T);
       ++Done;
       if (InnerClose) {
         CloseAfter = true;

@@ -156,13 +156,13 @@ private:
   void acceptLoop();
   void handleConnection(Conn *C);
   /// Dispatches one well-formed frame; returns false when the
-  /// connection must close (protocol violation or Shutdown). \p ST is
-  /// the per-request stage trace (null when telemetry is off).
+  /// connection must close (protocol violation or Shutdown). \p T is
+  /// the per-request trace (null when telemetry is off).
   bool dispatch(Conn *C, const Frame &F, std::string &ResponseBytes,
-                StageTrace *ST);
+                Tracer *T);
   /// Applies one request under the ingest/backpressure regime.
-  std::string handleRequest(const Frame &F, bool &CloseAfter, StageTrace *ST);
-  std::string handleIngest(const Frame &F, bool &CloseAfter, StageTrace *ST);
+  std::string handleRequest(const Frame &F, bool &CloseAfter, Tracer *T);
+  std::string handleIngest(const Frame &F, bool &CloseAfter, Tracer *T);
   void bump(const char *Name, uint64_t N = 1);
   void reapFinished();
   /// The drain body; caller holds StopMutex with Stopped still false.

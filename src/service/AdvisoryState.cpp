@@ -4,6 +4,7 @@
 
 #include "frontend/Frontend.h"
 #include "ir/Module.h"
+#include "observability/Tracer.h"
 #include "profile/FeedbackIO.h"
 #include "support/Diagnostics.h"
 
@@ -66,10 +67,10 @@ AdvisoryState::shardFor(const std::string &Module) const {
 
 StateResult AdvisoryState::putSource(const std::string &Name,
                                      const std::string &Source,
-                                     StageTrace *ST) {
+                                     Tracer *T) {
   // Compile and summarize outside any lock — this is the expensive part
   // and touches no shared state.
-  StageSpan Compile(ST, "compile");
+  TraceSpan Compile(T, "compile");
   auto Ctx = std::make_unique<IRContext>();
   std::vector<std::string> FeDiags;
   std::unique_ptr<slo::Module> M = compileMiniC(*Ctx, Name, Source, FeDiags);
@@ -85,7 +86,7 @@ StateResult AdvisoryState::putSource(const std::string &Name,
   Compile.finish();
 
   StateShard &Shard = shardFor(Name);
-  StageSpan LockWait(ST, "lock-wait");
+  TraceSpan LockWait(T, "lock-wait");
   std::lock_guard<std::mutex> Lock(Shard.Mutex);
   LockWait.finish();
   ModuleEntry &E = Shard.Modules[Name];
@@ -104,8 +105,8 @@ StateResult AdvisoryState::putSource(const std::string &Name,
 }
 
 StateResult AdvisoryState::putSummary(const std::string &Text,
-                                      StageTrace *ST) {
-  StageSpan Parse(ST, "parse");
+                                      Tracer *T) {
+  TraceSpan Parse(T, "parse");
   ModuleSummary S;
   std::string Error;
   if (!deserializeModuleSummary(Text, S, Error)) {
@@ -115,7 +116,7 @@ StateResult AdvisoryState::putSummary(const std::string &Text,
   }
   Parse.finish();
   StateShard &Shard = shardFor(S.ModuleName);
-  StageSpan LockWait(ST, "lock-wait");
+  TraceSpan LockWait(T, "lock-wait");
   std::lock_guard<std::mutex> Lock(Shard.Mutex);
   LockWait.finish();
   ModuleEntry &E = Shard.Modules[S.ModuleName];
@@ -130,7 +131,7 @@ StateResult AdvisoryState::putSummary(const std::string &Text,
 
 StateResult AdvisoryState::putProfile(const std::string &Name,
                                       const std::string &Text,
-                                      StageTrace *ST) {
+                                      Tracer *T) {
   StateShard &Shard = shardFor(Name);
   FeedbackFile Delta;
   std::map<std::string, RecordDigest> PerRecord;
@@ -138,7 +139,7 @@ StateResult AdvisoryState::putProfile(const std::string &Name,
   {
     // Parse under the shard lock: deserializeFeedback matches symbols
     // against the entry's IR, which a concurrent putSource may replace.
-    StageSpan LockWait(ST, "lock-wait");
+    TraceSpan LockWait(T, "lock-wait");
     std::lock_guard<std::mutex> Lock(Shard.Mutex);
     LockWait.finish();
     auto It = Shard.Modules.find(Name);
@@ -151,7 +152,7 @@ StateResult AdvisoryState::putProfile(const std::string &Name,
       return R;
     }
     M = It->second.M.get();
-    StageSpan Parse(ST, "parse");
+    TraceSpan Parse(T, "parse");
     DiagnosticEngine Diags;
     FeedbackMatchResult MR = deserializeFeedback(*M, Text, Delta, &Diags);
     if (!MR.Ok) {
@@ -162,7 +163,7 @@ StateResult AdvisoryState::putProfile(const std::string &Name,
       return R;
     }
     Parse.finish();
-    StageSpan Merge(ST, "merge");
+    TraceSpan Merge(T, "merge");
     It->second.Accum.merge(Delta); // The PR 5 multi-run merge path.
     Merge.finish();
     ++It->second.ProfilePayloads;
@@ -207,13 +208,13 @@ void AdvisoryState::bumpDigests(
 // Serving
 //===----------------------------------------------------------------------===//
 
-std::string AdvisoryState::getAdvice(bool Json, StageTrace *ST) const {
+std::string AdvisoryState::getAdvice(bool Json, Tracer *T) const {
   // Snapshot summaries shard by shard, then order by module name: the
   // merged advice must not depend on which client's upload won which
   // race, only on the set of modules ingested.
   std::vector<ModuleSummary> Summaries;
   {
-    StageSpan LockWait(ST, "lock-wait");
+    TraceSpan LockWait(T, "lock-wait");
     for (const auto &Shard : Shards) {
       std::lock_guard<std::mutex> Lock(Shard->Mutex);
       for (const auto &Entry : Shard->Modules)
@@ -224,21 +225,21 @@ std::string AdvisoryState::getAdvice(bool Json, StageTrace *ST) const {
             [](const ModuleSummary &A, const ModuleSummary &B) {
               return A.ModuleName < B.ModuleName;
             });
-  StageSpan Merge(ST, "merge");
+  TraceSpan Merge(T, "merge");
   PlannerOptions Planner;
   Planner.HotnessFromProfile = false; // Static schemes only (as one-shot).
   MergedProgram MP = mergeModuleSummaries(Summaries, Planner);
   Merge.finish();
-  StageSpan Render(ST, "render");
+  TraceSpan Render(T, "render");
   return Json ? renderAdviceJson(MP, Summaries, SummaryOpts.Scheme)
               : renderAdviceText(MP, Summaries, SummaryOpts.Scheme);
 }
 
 StateResult AdvisoryState::getProfile(const std::string &Name,
                                       std::string &Out,
-                                      StageTrace *ST) const {
+                                      Tracer *T) const {
   const StateShard &Shard = shardFor(Name);
-  StageSpan LockWait(ST, "lock-wait");
+  TraceSpan LockWait(T, "lock-wait");
   std::lock_guard<std::mutex> Lock(Shard.Mutex);
   LockWait.finish();
   auto It = Shard.Modules.find(Name);
@@ -247,7 +248,7 @@ StateResult AdvisoryState::getProfile(const std::string &Name,
     R.Error = "unknown module '" + Name + "'";
     return R;
   }
-  StageSpan Render(ST, "render");
+  TraceSpan Render(T, "render");
   Out = serializeFeedback(*It->second.M, It->second.Accum);
   return {true, ""};
 }

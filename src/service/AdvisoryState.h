@@ -38,7 +38,6 @@
 #include "pipeline/Incremental.h"
 #include "profile/FeedbackFile.h"
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,6 +48,7 @@ namespace slo {
 
 class IRContext;
 class Module;
+class Tracer;
 
 namespace service {
 
@@ -56,61 +56,6 @@ namespace service {
 struct StateResult {
   bool Ok = false;
   std::string Error; // Set when !Ok.
-};
-
-/// Optional per-request stage timing, threaded through the mutation and
-/// serving paths when a request is traced or the daemon keeps latency
-/// histograms. A null StageTrace* is the off switch: no clock is read
-/// anywhere on the path (the telemetry-off contract of PR 3).
-struct StageTrace {
-  struct Stage {
-    const char *Name = "";
-    uint64_t StartMicros = 0; ///< Since Base (the request's receipt).
-    uint64_t DurMicros = 0;
-  };
-
-  std::chrono::steady_clock::time_point Base;
-  std::vector<Stage> Stages;
-
-  explicit StageTrace(std::chrono::steady_clock::time_point Base)
-      : Base(Base) {}
-  StageTrace() : Base(std::chrono::steady_clock::now()) {}
-};
-
-/// Null-safe RAII recorder for one stage. With a null trace the
-/// constructor and destructor are no-ops (no clock read). finish() may
-/// be called early to end the stage before scope exit — timing a lock
-/// acquisition reads `StageSpan W(ST, "lock-wait"); lock(); W.finish();`.
-class StageSpan {
-public:
-  StageSpan(StageTrace *T, const char *Name) : T(T), Name(Name) {
-    if (T)
-      Start = std::chrono::steady_clock::now();
-  }
-  StageSpan(const StageSpan &) = delete;
-  StageSpan &operator=(const StageSpan &) = delete;
-  ~StageSpan() { finish(); }
-
-  void finish() {
-    if (!T)
-      return;
-    auto End = std::chrono::steady_clock::now();
-    StageTrace::Stage S;
-    S.Name = Name;
-    S.StartMicros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Start - T->Base)
-            .count());
-    S.DurMicros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
-            .count());
-    T->Stages.push_back(S);
-    T = nullptr;
-  }
-
-private:
-  StageTrace *T;
-  const char *Name;
-  std::chrono::steady_clock::time_point Start;
 };
 
 /// Per-(module, record-type) ingest digest: what the daemon has seen
@@ -139,35 +84,36 @@ public:
 
   /// Compiles \p Source as module \p Name and upserts its entry (source,
   /// IR, summary). On compile failure the previous entry, if any, is
-  /// kept untouched. \p ST, when non-null, receives "compile" and
-  /// "lock-wait" stages.
+  /// kept untouched. \p T, when non-null, receives "compile" and
+  /// "lock-wait" spans. A null \p T reads no clock anywhere on these
+  /// paths (the telemetry-off contract).
   StateResult putSource(const std::string &Name, const std::string &Source,
-                        StageTrace *ST = nullptr);
+                        Tracer *T = nullptr);
 
   /// Upserts a summary-only entry from a serialized ModuleSummary.
   /// Corrupt payloads are rejected with the deserializer's error and
   /// change nothing. A summary-only module cannot accept profiles
-  /// (there is no IR to match them against). Stages: "parse",
+  /// (there is no IR to match them against). Spans: "parse",
   /// "lock-wait".
-  StateResult putSummary(const std::string &Text, StageTrace *ST = nullptr);
+  StateResult putSummary(const std::string &Text, Tracer *T = nullptr);
 
   /// Merges a serialized feedback payload into module \p Name's
   /// accumulated profile. The parse is atomic (corrupt input leaves the
   /// accumulation untouched); the merge runs under the shard lock.
-  /// Stages: "lock-wait", "parse", "merge".
+  /// Spans: "lock-wait", "parse", "merge".
   StateResult putProfile(const std::string &Name, const std::string &Text,
-                         StageTrace *ST = nullptr);
+                         Tracer *T = nullptr);
 
   /// Renders program-wide advice over every module ingested so far:
   /// summaries sorted by module name, merged and rendered exactly like
-  /// the one-shot incremental pipeline. Stages: "lock-wait", "merge",
+  /// the one-shot incremental pipeline. Spans: "lock-wait", "merge",
   /// "render".
-  std::string getAdvice(bool Json, StageTrace *ST = nullptr) const;
+  std::string getAdvice(bool Json, Tracer *T = nullptr) const;
 
   /// Re-serializes module \p Name's accumulated profile. Fails for
-  /// unknown or summary-only modules. Stages: "lock-wait", "render".
+  /// unknown or summary-only modules. Spans: "lock-wait", "render".
   StateResult getProfile(const std::string &Name, std::string &Out,
-                         StageTrace *ST = nullptr) const;
+                         Tracer *T = nullptr) const;
 
   /// Deterministic JSON array of per-(module, record) ingest digests,
   /// sorted by (module, record).

@@ -376,6 +376,23 @@ TEST_F(ServiceTest, CorruptPayloadsRejectedWithoutStateChange) {
   EXPECT_EQ(D->state().moduleCount(), 1u);
 }
 
+TEST_F(ServiceTest, HostileNestingIsCompileFailedAndDaemonLives) {
+  // 20k nested parentheses once overflowed the frontend's stack and took
+  // the daemon down; now the parser's depth limit answers CompileFailed.
+  auto D = makeDaemon();
+  auto C = connect(*D);
+  ASSERT_TRUE(C);
+  std::string Deep = "int main() { return " + std::string(20000, '(') + "1" +
+                     std::string(20000, ')') + "; }\n";
+  ServiceReply R = C->putSource("deep.minic", Deep);
+  ASSERT_TRUE(R.Transport);
+  EXPECT_EQ(R.Op, Opcode::Error);
+  EXPECT_EQ(R.Code, static_cast<uint16_t>(ErrCode::CompileFailed));
+  EXPECT_NE(R.Message.find("depth limit"), std::string::npos) << R.Message;
+  EXPECT_EQ(D->state().moduleCount(), 0u);
+  EXPECT_EQ(C->ping().Op, Opcode::Pong);
+}
+
 TEST_F(ServiceTest, SummaryUploadFeedsAdvice) {
   // Serialize a.minic's summary out of a one-shot run, upload it
   // summary-only, and the daemon's advice must match the oracle's.
@@ -408,8 +425,10 @@ TEST_F(ServiceTest, IngestQueueFullAnswersRetryAfterAndDropsNothing) {
   std::condition_variable Cv;
   bool Hold = true;
   std::atomic<unsigned> InHook{0};
+  HistogramRegistry Hist;
 
   auto D = makeDaemon([&](DaemonConfig &Config) {
+    Config.Hist = &Hist;
     Config.IngestQueueDepth = 1;
     Config.RetryAfterMillis = 5;
     Config.TestIngestHook = [&] {
@@ -444,10 +463,25 @@ TEST_F(ServiceTest, IngestQueueFullAnswersRetryAfterAndDropsNothing) {
   T1.join();
 
   // Honoring the backoff succeeds once the slot frees up.
-  ServiceReply R2 = C2->putWithRetry(Opcode::PutSource,
-                                     encodePutSource("c.minic", TuC));
+  unsigned Retries = 0;
+  ServiceReply R2 = C2->putWithRetry(
+      Opcode::PutSource, encodePutSource("c.minic", TuC), 50, &Retries);
   EXPECT_TRUE(R2.ok());
   EXPECT_EQ(D->state().moduleCount(), 2u);
+
+  // The latency histogram counts every PutSource frame, the rejected
+  // one included: client 1's, client 2's shed one, and client 2's
+  // resends. The daemon records before it replies, so the count is
+  // settled by the time the last reply arrives.
+  uint64_t Frames = 3 + Retries;
+  EXPECT_EQ(Hist.get("service.latency.PutSource").snapshot().Count, Frames);
+  ServiceReply M = C2->getMetrics(0);
+  ASSERT_TRUE(M.Transport);
+  ASSERT_EQ(M.Op, Opcode::Metrics);
+  EXPECT_NE(M.Text.find("\"service.latency.PutSource\": {\"count\": " +
+                        std::to_string(Frames) + ","),
+            std::string::npos)
+      << M.Text;
 }
 
 //===----------------------------------------------------------------------===//
