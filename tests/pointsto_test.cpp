@@ -4,6 +4,7 @@
 #include "analysis/LegalityRefine.h"
 #include "analysis/PointsTo.h"
 #include "frontend/Frontend.h"
+#include "fuzz/ProgramFuzzer.h"
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 #include "ir/Instructions.h"
@@ -22,6 +23,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 using namespace slo;
 
@@ -460,6 +462,134 @@ TEST(PointsToIndexTest, RefinementVerdictsAndFactsUnchanged) {
     EXPECT_EQ(fnv1a(Text), It->second) << Name << ":\n" << Text;
   });
   EXPECT_EQ(Seen.size(), Recorded.size());
+}
+
+//===----------------------------------------------------------------------===//
+// The whole solution against digests recorded before the solver rewrite
+//===----------------------------------------------------------------------===//
+
+/// FNV-1a over a stream of integers and strings.
+struct SolutionHash {
+  uint64_t H = 0xcbf29ce484222325ull;
+  void byte(unsigned char C) { H = (H ^ C) * 0x100000001b3ull; }
+  void add(uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      byte(static_cast<unsigned char>(V >> (8 * I)));
+  }
+  void add(const std::string &S) {
+    add(S.size());
+    for (unsigned char C : S)
+      byte(C);
+  }
+};
+
+/// Digest of everything PointsToResult answers about \p M: per tracked
+/// value its objects, escape, external flag and aliases (as tracked
+/// positions); per object its escape and name-sorted views; per indirect
+/// call its name-sorted targets and completeness; and the node, object
+/// and cell counts.
+static uint64_t solutionDigest(const Module &M) {
+  PointsToResult PT = analyzePointsTo(M);
+  SolutionHash D;
+  const std::vector<const Value *> &Tracked = PT.trackedValues();
+  std::unordered_map<const Value *, uint64_t> Position;
+  for (size_t I = 0; I < Tracked.size(); ++I)
+    Position.emplace(Tracked[I], I);
+  D.add(Tracked.size());
+  for (const Value *V : Tracked) {
+    D.add(V->getName());
+    std::vector<PointsToResult::ObjectID> Objs = PT.pointedObjects(V);
+    D.add(Objs.size());
+    for (PointsToResult::ObjectID O : Objs)
+      D.add(O);
+    D.add(static_cast<uint64_t>(PT.escapeOf(V)));
+    D.add(PT.pointsToExternal(V));
+    std::vector<const Value *> Aliases = PT.aliasesOf(V);
+    D.add(Aliases.size());
+    for (const Value *W : Aliases)
+      D.add(Position.at(W));
+  }
+  D.add(PT.numObjects());
+  for (PointsToResult::ObjectID O = 0; O < PT.numObjects(); ++O) {
+    const MemObject &MO = PT.object(O);
+    D.add(MO.describe());
+    D.add(static_cast<uint64_t>(MO.Escape));
+    std::vector<std::string> Views;
+    for (const RecordType *R : MO.Views)
+      Views.push_back(R->getRecordName());
+    std::sort(Views.begin(), Views.end());
+    D.add(Views.size());
+    for (const std::string &Name : Views)
+      D.add(Name);
+  }
+  for (const auto &F : M.functions())
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->instructions())
+        if (const auto *IC = dyn_cast<IndirectCallInst>(I.get())) {
+          PointsToResult::CallTargets T = PT.callTargets(IC);
+          std::vector<std::string> Names;
+          for (const Function *Target : T.Targets)
+            Names.push_back(Target->getName());
+          std::sort(Names.begin(), Names.end());
+          D.add(Names.size());
+          for (const std::string &Name : Names)
+            D.add(Name);
+          D.add(T.Complete);
+        }
+  D.add(PT.stats().NumValueNodes);
+  D.add(PT.stats().NumObjects);
+  D.add(PT.stats().NumCells);
+  return D.H;
+}
+
+TEST(PointsToTest, SolutionUnchanged) {
+  // Recorded with the map-keyed, offline-collapsing solver; any solver
+  // that reaches the same least fixpoint reproduces every digest.
+  const std::map<std::string, uint64_t> Recorded = {
+      {"179.art", 0x197329e03b297ac6ull},
+      {"181.mcf", 0x34658f8a94d0b589ull},
+      {"cactusADM", 0x2d689e02c9eae2dbull},
+      {"calculix", 0x43cca44914a305f1ull},
+      {"cast_pun.minic", 0x382ac6a30cfa60eaull},
+      {"fnptr_fields.minic", 0xdb67eb25e37dc194ull},
+      {"fuzz-corpus-42-200", 0x24aa7aab584b37d5ull},
+      {"gobmk", 0xfcc1d19138a5b9eeull},
+      {"h264avc", 0xc2548f2e2381f2ceull},
+      {"hotcold_split.minic", 0xdbaea61ef324b6fdull},
+      {"lucille", 0x34b03f3275edd121ull},
+      {"memcpy_stream.minic", 0x4b6b1d6987aba569ull},
+      {"milc", 0xa9245e640cfb9de4ull},
+      {"moldyn", 0xb3709f8748ade990ull},
+      {"nested_chase.minic", 0x8e8f998559ce1a58ull},
+      {"povray", 0xba9ce83e277f9e1eull},
+      {"realloc_buckets.minic", 0xf93a8277bfcc59a2ull},
+      {"sphinx", 0xf8f918c69288bf9cull},
+      {"ssearch", 0xe9fec5e1d08878ccull},
+  };
+  std::map<std::string, uint64_t> Got;
+  forEachProgram([&](const std::string &Name, Module &M) {
+    Got[Name] = solutionDigest(M);
+  });
+  {
+    std::vector<std::string> Sources;
+    for (const FuzzTu &Tu : generateFuzzCorpus(42, 200))
+      Sources.push_back(Tu.Program.render());
+    IRContext Ctx;
+    std::vector<std::string> Diags;
+    auto M = compileProgram(Ctx, "corpus", Sources, Diags);
+    ASSERT_TRUE(M) << (Diags.empty() ? "?" : Diags[0]);
+    Got["fuzz-corpus-42-200"] = solutionDigest(*M);
+  }
+  for (const auto &[Name, Digest] : Got) {
+    auto It = Recorded.find(Name);
+    if (It == Recorded.end())
+      ADD_FAILURE() << "no recorded digest for " << Name << " (0x"
+                    << std::hex << Digest << ")";
+    else
+      EXPECT_EQ(Digest, It->second)
+          << Name << " (0x" << std::hex << Digest << ")";
+  }
+  EXPECT_EQ(Got.size(), Recorded.size());
 }
 
 } // namespace
