@@ -11,7 +11,6 @@
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
 
-#include <algorithm>
 #include <vector>
 
 using namespace slo;
@@ -33,18 +32,14 @@ std::string inFunction(const Instruction *I) {
 }
 
 std::string viewsString(const MemObject &O) {
-  // Views is ordered by pointer; sort by name so the rendered fact is
-  // stable across runs (the incremental cache replays stored facts
-  // verbatim, so a fresh run must produce the same string).
-  std::vector<std::string> Names;
-  for (const RecordType *R : O.Views)
-    Names.push_back(R->getRecordName());
-  std::sort(Names.begin(), Names.end());
+  // Views is ordered by name, so the rendered fact is stable across runs
+  // (the incremental cache replays stored facts verbatim, so a fresh run
+  // must produce the same string).
   std::string S;
-  for (const std::string &N : Names) {
+  for (const RecordType *R : O.Views) {
     if (!S.empty())
       S += ", ";
-    S += "'" + N + "'";
+    S += "'" + R->getRecordName() + "'";
   }
   return S.empty() ? "nothing" : S;
 }

@@ -69,11 +69,84 @@ constexpr int64_t kMaxFieldOffset = 1 << 20;
 /// byte offset, which is always >= 0.
 constexpr int64_t kBaseCell = -1;
 
+/// A set of cell ids, sorted ascending.
+using CellSet = std::vector<uint32_t>;
+
+/// Inserts \p Cell into the sorted set \p S; false if it was there.
+bool insertSorted(std::vector<uint32_t> &S, uint32_t Cell) {
+  auto It = std::lower_bound(S.begin(), S.end(), Cell);
+  if (It != S.end() && *It == Cell)
+    return false;
+  S.insert(It, Cell);
+  return true;
+}
+
+/// \p S = \p S ∪ \p T, both sorted; \p Tmp is scratch.
+void mergeSorted(CellSet &S, const CellSet &T, CellSet &Tmp) {
+  if (S.empty()) {
+    S = T;
+    return;
+  }
+  Tmp.clear();
+  Tmp.reserve(S.size() + T.size());
+  std::set_union(S.begin(), S.end(), T.begin(), T.end(),
+                 std::back_inserter(Tmp));
+  S.swap(Tmp);
+}
+
+uint64_t edgeKey(uint32_t From, uint32_t To) {
+  return (static_cast<uint64_t>(From) << 32) | To;
+}
+
+/// One singly linked list per node, all in one pool: appending allocates
+/// nothing per node, and merging two nodes' lists is O(1). Items appended
+/// during a walk are visited by that walk.
+template <typename T> class NodeLists {
+public:
+  static constexpr uint32_t End = ~0u;
+
+  void addNode() {
+    Head.push_back(End);
+    Tail.push_back(End);
+  }
+  void append(uint32_t N, T Item) {
+    uint32_t I = static_cast<uint32_t>(Items.size());
+    Items.push_back({Item, End});
+    (Tail[N] == End ? Head[N] : Items[Tail[N]].second) = I;
+    Tail[N] = I;
+  }
+  /// Moves \p B's list onto the end of \p A's.
+  void splice(uint32_t A, uint32_t B) {
+    if (Head[B] == End)
+      return;
+    (Tail[A] == End ? Head[A] : Items[Tail[A]].second) = Head[B];
+    Tail[A] = Tail[B];
+    Head[B] = Tail[B] = End;
+  }
+  uint32_t first(uint32_t N) const { return Head[N]; }
+  uint32_t next(uint32_t I) const { return Items[I].second; }
+  /// By value: an append may move the pool.
+  T at(uint32_t I) const { return Items[I].first; }
+
+private:
+  std::vector<std::pair<T, uint32_t>> Items;
+  std::vector<uint32_t> Head, Tail;
+};
+
 } // namespace
 
 namespace slo {
 
 /// Builds the constraint graph for one module and solves it.
+///
+/// Nodes are numbered densely: one per value as the collect walk first
+/// meets it, one per function's return, one per cell. Each node keeps its
+/// points-to set and the part of it not yet pushed through its copy edges
+/// and complex constraints (its delta), so a pass over a node costs what
+/// is new at the node, not its whole set. Copy cycles are found lazily
+/// (Hardekopf & Lin, PLDI 2007): an edge that brings nothing new between
+/// equal sets marks its head, and at the end of each worklist round one
+/// Tarjan walk from the marked heads collapses the cycles it reaches.
 class PointsToBuilder {
 public:
   explicit PointsToBuilder(const Module &M) : M(M) {}
@@ -85,11 +158,13 @@ private:
 
   struct Complex {
     enum Kind {
-      Load,    // Other = destination value node
-      Store,   // Other = stored value node
-      Field,   // Other = result node, Off = field byte offset
-      ExtStore, // external code may write external pointers through *this
-      ICall,   // IC = the indirect call to wire on resolution
+      Load,      // Other = destination value node
+      Store,     // Other = stored value node
+      Field,     // Other = result node, Off = field byte offset
+      ExtStore,  // external code may write external pointers through *this
+      ICall,     // IC = the indirect call to wire on resolution
+      MemcpyDst, // Other = memcpy index; this node is its destination
+      MemcpySrc, // Other = memcpy index; this node is its source
     };
     Kind K;
     uint32_t Other = 0;
@@ -97,29 +172,51 @@ private:
     const IndirectCallInst *IC = nullptr;
   };
 
+  /// One memcpy: every cell of every source object flows into the cell at
+  /// the same offset of every destination object.
+  struct Memcpy {
+    std::vector<ObjectID> SrcObjs, DstObjs; // sorted
+  };
+
   const Module &M;
 
-  // --- Node space: one node per tracked value plus one per cell. ---
-  std::vector<uint32_t> Parent;              // union-find
-  std::vector<std::set<uint32_t>> Pts;       // cells pointed to, per rep
-  std::vector<std::set<uint32_t>> Succ;      // copy edges, per rep
-  std::vector<std::vector<Complex>> Cplx;    // complex constraints, per rep
+  // --- Node space: one node per value, function return and cell. ---
+  std::vector<uint32_t> Parent;           // union-find
+  std::vector<CellSet> Pts;               // cells pointed to, per rep
+  std::vector<CellSet> Delta;             // cells not yet propagated
+  NodeLists<uint32_t> Succ;               // copy edges, per rep
+  NodeLists<Complex> Cplx;                // complex constraints, per rep
   std::vector<char> InWork;
   std::deque<uint32_t> Worklist;
-  bool AnyChange = false;
+  /// Copy edges present, keyed by their endpoints when added.
+  FlatHashMap<uint64_t, bool> Edges;
+  /// Edges whose equal ends already triggered a cycle search.
+  FlatHashMap<uint64_t, bool> CycleChecked;
+  std::vector<uint32_t> CycleRoots;
+  std::vector<uint32_t> TarjanIndex, TarjanLow;
+  std::vector<char> TarjanOnStack;
+  CellSet Scratch, NewCells;
+  bool Solving = false;
 
-  std::map<const Value *, uint32_t> ValNode;
+  FlatHashMap<const Value *, uint32_t> ValNode;
   std::vector<const Value *> TrackedValues;
-  std::map<const Function *, uint32_t> RetNode;
+  FlatHashMap<const Function *, uint32_t> RetNode;
 
   // --- Objects and cells. ---
   std::vector<MemObject> Objects;
-  std::map<std::pair<ObjectID, int64_t>, uint32_t> CellMap;
+  /// Per object, its cells as (offset, cell id), sorted by offset.
+  std::vector<std::vector<std::pair<int64_t, uint32_t>>> ObjCells;
   std::vector<uint32_t> CellNode;   // cell id -> its node
   std::vector<ObjectID> CellObject; // cell id -> owning object
   std::vector<int64_t> CellOffset;  // cell id -> offset (kBaseCell for base)
   ObjectID ExternalObj = 0;
   uint32_t ExternalCellId = 0;
+
+  std::vector<Memcpy> Memcpys;
+  /// Per object, the memcpys it is a source of.
+  std::vector<std::vector<uint32_t>> MemcpyFromObj;
+  /// Cells created in memcpy source objects, not yet copied.
+  std::vector<uint32_t> NewSrcCells;
 
   // Indirect-call bookkeeping.
   std::vector<const IndirectCallInst *> IndirectCalls;
@@ -142,63 +239,83 @@ private:
     uint32_t N = static_cast<uint32_t>(Parent.size());
     Parent.push_back(N);
     Pts.emplace_back();
-    Succ.emplace_back();
-    Cplx.emplace_back();
+    Delta.emplace_back();
+    Succ.addNode();
+    Cplx.addNode();
     InWork.push_back(0);
     return N;
   }
 
   void push(uint32_t N) {
-    N = find(N);
     if (!InWork[N]) {
       InWork[N] = 1;
       Worklist.push_back(N);
     }
   }
 
-  /// Merges node \p B into node \p A (both representatives).
-  void unite(uint32_t A, uint32_t B) {
-    A = find(A);
-    B = find(B);
-    if (A == B)
-      return;
+  /// Adds the cells of \p Src missing from representative \p N to its set
+  /// and its delta; true if any was new.
+  bool addCells(uint32_t N, const CellSet &Src) {
+    if (Src.size() == 1)
+      return addCell(N, Src[0]);
+    NewCells.clear();
+    std::set_difference(Src.begin(), Src.end(), Pts[N].begin(), Pts[N].end(),
+                        std::back_inserter(NewCells));
+    if (NewCells.empty())
+      return false;
+    mergeSorted(Pts[N], NewCells, Scratch);
+    mergeSorted(Delta[N], NewCells, Scratch);
+    push(N);
+    return true;
+  }
+
+  bool addCell(uint32_t N, uint32_t Cell) {
+    if (!insertSorted(Pts[N], Cell))
+      return false;
+    insertSorted(Delta[N], Cell);
+    push(N);
+    return true;
+  }
+
+  /// Merges representative \p B into representative \p A. The merged node
+  /// re-runs its constraints over its whole set: each side's constraints
+  /// have seen only that side's cells.
+  uint32_t unite(uint32_t A, uint32_t B) {
     if (Pts[B].size() > Pts[A].size())
       std::swap(A, B);
     Parent[B] = A;
-    Pts[A].insert(Pts[B].begin(), Pts[B].end());
-    Succ[A].insert(Succ[B].begin(), Succ[B].end());
-    Cplx[A].insert(Cplx[A].end(), Cplx[B].begin(), Cplx[B].end());
-    Pts[B].clear();
-    Succ[B].clear();
-    Cplx[B].clear();
+    mergeSorted(Pts[A], Pts[B], Scratch);
+    Succ.splice(A, B);
+    Cplx.splice(A, B);
+    Delta[A] = Pts[A];
+    CellSet().swap(Pts[B]);
+    CellSet().swap(Delta[B]);
     ++Stats.NodesCollapsed;
     push(A);
+    return A;
   }
 
   // Graph construction -----------------------------------------------------
   uint32_t valueNode(const Value *V) {
-    auto It = ValNode.find(V);
-    if (It != ValNode.end())
-      return It->second;
-    uint32_t N = newNode();
-    ValNode.emplace(V, N);
+    auto [Slot, Inserted] = ValNode.tryEmplace(V, 0);
+    if (!Inserted)
+      return *Slot;
+    uint32_t N = *Slot = newNode();
     if (!isConstant(V))
       TrackedValues.push_back(V);
     // Address-producing values seed their own points-to set.
     if (const auto *GV = dyn_cast<GlobalVariable>(V))
-      addPts(N, baseCell(globalObject(GV)));
+      addPts(N, baseCell(newObject(MemObject::Kind::Global, GV)));
     else if (const auto *F = dyn_cast<Function>(V))
-      addPts(N, baseCell(functionObject(F)));
+      addPts(N, baseCell(newObject(MemObject::Kind::Function, F)));
     return N;
   }
 
   uint32_t retNode(const Function *F) {
-    auto It = RetNode.find(F);
-    if (It != RetNode.end())
-      return It->second;
-    uint32_t N = newNode();
-    RetNode.emplace(F, N);
-    return N;
+    auto [Slot, Inserted] = RetNode.tryEmplace(F, 0);
+    if (Inserted)
+      *Slot = newNode();
+    return *Slot;
   }
 
   ObjectID newObject(MemObject::Kind K, const Value *Origin) {
@@ -206,75 +323,64 @@ private:
     O.K = K;
     O.Origin = Origin;
     Objects.push_back(std::move(O));
+    ObjCells.emplace_back();
+    MemcpyFromObj.emplace_back();
     return static_cast<ObjectID>(Objects.size() - 1);
-  }
-
-  std::map<const Value *, ObjectID> OriginObject;
-
-  ObjectID globalObject(const GlobalVariable *GV) {
-    auto It = OriginObject.find(GV);
-    if (It != OriginObject.end())
-      return It->second;
-    ObjectID O = newObject(MemObject::Kind::Global, GV);
-    OriginObject.emplace(GV, O);
-    return O;
-  }
-
-  ObjectID functionObject(const Function *F) {
-    auto It = OriginObject.find(F);
-    if (It != OriginObject.end())
-      return It->second;
-    ObjectID O = newObject(MemObject::Kind::Function, F);
-    OriginObject.emplace(F, O);
-    return O;
   }
 
   uint32_t getCell(ObjectID O, int64_t Off) {
     if (Off > kMaxFieldOffset)
       Off = kMaxFieldOffset;
-    auto It = CellMap.find({O, Off});
-    if (It != CellMap.end())
+    std::vector<std::pair<int64_t, uint32_t>> &Cells = ObjCells[O];
+    auto It = std::lower_bound(
+        Cells.begin(), Cells.end(), Off,
+        [](const std::pair<int64_t, uint32_t> &C, int64_t K) {
+          return C.first < K;
+        });
+    if (It != Cells.end() && It->first == Off)
       return It->second;
     uint32_t Cell = static_cast<uint32_t>(CellNode.size());
-    CellMap.emplace(std::make_pair(O, Off), Cell);
+    Cells.insert(It, {Off, Cell});
     CellNode.push_back(newNode());
     CellObject.push_back(O);
     CellOffset.push_back(Off);
+    if (!MemcpyFromObj[O].empty())
+      NewSrcCells.push_back(Cell);
     return Cell;
   }
 
   uint32_t baseCell(ObjectID O) { return getCell(O, kBaseCell); }
 
-  bool addPts(uint32_t N, uint32_t Cell) {
-    N = find(N);
-    if (!Pts[N].insert(Cell).second)
-      return false;
-    AnyChange = true;
-    push(N);
-    return true;
-  }
+  bool addPts(uint32_t N, uint32_t Cell) { return addCell(find(N), Cell); }
 
-  void addEdge(uint32_t From, uint32_t To) {
+  /// Adds the copy edge From -> To; true if it is new.
+  bool addEdge(uint32_t From, uint32_t To) {
     From = find(From);
     To = find(To);
-    if (From == To)
-      return;
-    if (!Succ[From].insert(To).second)
-      return;
+    if (From == To || !Edges.insert(edgeKey(From, To)))
+      return false;
+    Succ.append(From, To);
     ++Stats.NumCopyEdges;
-    AnyChange = true;
+    // A new edge carries the whole source set, not just its delta.
     if (!Pts[From].empty())
-      push(From);
+      addCells(To, Pts[From]);
+    return true;
   }
 
   void addComplex(uint32_t N, Complex C) {
     N = find(N);
-    Cplx[N].push_back(C);
+    Cplx.append(N, C);
     ++Stats.NumComplexConstraints;
-    AnyChange = true;
+    // While solving, the node may already have propagated cells the new
+    // constraint has not seen. During collection nothing has propagated,
+    // and leaving the constraint to the node's first pop keeps indirect
+    // call wiring, which can number new values, after the collect walk.
+    if (Solving) {
+      CellSet Cells = Pts[N];
+      for (uint32_t Cell : Cells)
+        apply(C, Cell);
+    }
   }
-
-  std::vector<std::pair<uint32_t, uint32_t>> Memcpys; // (dst node, src node)
 
   // Constraint generation --------------------------------------------------
   void collectGlobals();
@@ -285,13 +391,18 @@ private:
   void routeExternalICall(const IndirectCallInst *IC);
 
   // Solver -----------------------------------------------------------------
-  void propagate();
-  void processComplex();
-  void processMemcpys();
-  void collapseCycles();
   void solve();
+  void apply(const Complex &C, uint32_t Cell);
+  void copyCells(ObjectID From, ObjectID To);
+  void drainNewSrcCells();
+  /// Tarjan SCC over the copy graph from \p Roots (every representative
+  /// when empty); returns the SCCs of two or more nodes.
+  std::vector<std::vector<uint32_t>>
+  findCycles(const std::vector<uint32_t> &Roots);
+  void collapseCycles(const std::vector<uint32_t> &Roots);
+  void collapseFinalCycles();
   bool clobberExternallyReachable();
-  std::set<uint32_t> reachableCells(const std::set<uint32_t> &Seeds);
+  std::vector<char> reachableObjects(const std::vector<ObjectID> &Seeds);
 
   // Post-solve -------------------------------------------------------------
   void computeEscapes();
@@ -324,27 +435,18 @@ void PointsToBuilder::collectFunction(const Function &F) {
 
 void PointsToBuilder::collectInstruction(const Instruction &I) {
   switch (I.getOpcode()) {
-  case Instruction::OpAlloca: {
-    ObjectID O = newObject(MemObject::Kind::Stack, &I);
-    OriginObject.emplace(&I, O);
-    addPts(valueNode(&I), baseCell(O));
+  case Instruction::OpAlloca:
+    addPts(valueNode(&I), baseCell(newObject(MemObject::Kind::Stack, &I)));
     break;
-  }
   case Instruction::OpMalloc:
-  case Instruction::OpCalloc: {
-    ObjectID O = newObject(MemObject::Kind::Heap, &I);
-    OriginObject.emplace(&I, O);
-    addPts(valueNode(&I), baseCell(O));
+  case Instruction::OpCalloc:
+    addPts(valueNode(&I), baseCell(newObject(MemObject::Kind::Heap, &I)));
     break;
-  }
-  case Instruction::OpRealloc: {
-    ObjectID O = newObject(MemObject::Kind::Heap, &I);
-    OriginObject.emplace(&I, O);
-    addPts(valueNode(&I), baseCell(O));
+  case Instruction::OpRealloc:
+    addPts(valueNode(&I), baseCell(newObject(MemObject::Kind::Heap, &I)));
     // The reallocated block aliases the original pointer's objects.
     addEdge(valueNode(cast<ReallocInst>(&I)->getPtr()), valueNode(&I));
     break;
-  }
   case Instruction::OpLoad:
     addComplex(valueNode(cast<LoadInst>(&I)->getPointer()),
                Complex{Complex::Load, valueNode(&I), 0, nullptr});
@@ -423,7 +525,11 @@ void PointsToBuilder::collectInstruction(const Instruction &I) {
   }
   case Instruction::OpMemcpy: {
     const auto *MC = cast<MemcpyInst>(&I);
-    Memcpys.emplace_back(valueNode(MC->getDst()), valueNode(MC->getSrc()));
+    uint32_t Index = static_cast<uint32_t>(Memcpys.size());
+    Memcpys.emplace_back();
+    uint32_t Dst = valueNode(MC->getDst()), Src = valueNode(MC->getSrc());
+    Cplx.append(find(Dst), Complex{Complex::MemcpyDst, Index, 0, nullptr});
+    Cplx.append(find(Src), Complex{Complex::MemcpySrc, Index, 0, nullptr});
     ++Stats.NumComplexConstraints;
     break;
   }
@@ -455,189 +561,226 @@ void PointsToBuilder::routeExternalICall(const IndirectCallInst *IC) {
   addEdge(CellNode[ExternalCellId], valueNode(IC));
 }
 
-void PointsToBuilder::propagate() {
-  while (!Worklist.empty()) {
-    uint32_t N = Worklist.front();
-    Worklist.pop_front();
-    InWork[N] = 0;
-    if (find(N) != N)
-      continue;
-    std::vector<uint32_t> Out(Succ[N].begin(), Succ[N].end());
-    for (uint32_t SRaw : Out) {
-      uint32_t S = find(SRaw);
-      if (S == N)
-        continue;
-      bool Grew = false;
-      for (uint32_t C : Pts[N])
-        if (Pts[S].insert(C).second)
-          Grew = true;
-      if (Grew) {
-        AnyChange = true;
-        push(S);
-      }
-    }
+void PointsToBuilder::apply(const Complex &C, uint32_t Cell) {
+  switch (C.K) {
+  case Complex::Load:
+    addEdge(CellNode[Cell], C.Other);
+    break;
+  case Complex::Store:
+    addEdge(C.Other, CellNode[Cell]);
+    break;
+  case Complex::Field: {
+    int64_t Base = CellOffset[Cell] == kBaseCell ? 0 : CellOffset[Cell];
+    addPts(C.Other, getCell(CellObject[Cell], Base + C.Off));
+    break;
+  }
+  case Complex::ExtStore:
+    addEdge(CellNode[ExternalCellId], CellNode[Cell]);
+    break;
+  case Complex::ICall: {
+    const MemObject &O = Objects[CellObject[Cell]];
+    if (O.K == MemObject::Kind::Function && CellOffset[Cell] == kBaseCell)
+      wireCall(C.IC, cast<Function>(O.Origin));
+    else
+      routeExternalICall(C.IC);
+    break;
+  }
+  case Complex::MemcpyDst: {
+    ObjectID DO = CellObject[Cell];
+    if (!insertSorted(Memcpys[C.Other].DstObjs, DO))
+      break;
+    for (size_t I = 0; I < Memcpys[C.Other].SrcObjs.size(); ++I)
+      copyCells(Memcpys[C.Other].SrcObjs[I], DO);
+    break;
+  }
+  case Complex::MemcpySrc: {
+    ObjectID SO = CellObject[Cell];
+    if (!insertSorted(Memcpys[C.Other].SrcObjs, SO))
+      break;
+    MemcpyFromObj[SO].push_back(C.Other);
+    for (size_t I = 0; I < Memcpys[C.Other].DstObjs.size(); ++I)
+      copyCells(SO, Memcpys[C.Other].DstObjs[I]);
+    break;
+  }
   }
 }
 
-void PointsToBuilder::processComplex() {
-  for (uint32_t N = 0; N < Parent.size(); ++N) {
-    if (find(N) != N || Cplx[N].empty() || Pts[N].empty())
-      continue;
-    std::vector<Complex> Cons = Cplx[N];
-    std::vector<uint32_t> Cells(Pts[N].begin(), Pts[N].end());
-    for (const Complex &C : Cons) {
-      for (uint32_t Cell : Cells) {
-        switch (C.K) {
-        case Complex::Load:
-          addEdge(CellNode[Cell], C.Other);
-          break;
-        case Complex::Store:
-          addEdge(C.Other, CellNode[Cell]);
-          break;
-        case Complex::Field: {
-          int64_t Base = CellOffset[Cell] == kBaseCell ? 0 : CellOffset[Cell];
-          addPts(C.Other, getCell(CellObject[Cell], Base + C.Off));
-          break;
-        }
-        case Complex::ExtStore:
-          addEdge(CellNode[ExternalCellId], CellNode[Cell]);
-          break;
-        case Complex::ICall: {
-          const MemObject &O = Objects[CellObject[Cell]];
-          if (O.K == MemObject::Kind::Function &&
-              CellOffset[Cell] == kBaseCell)
-            wireCall(C.IC, cast<Function>(O.Origin));
-          else
-            routeExternalICall(C.IC);
-          break;
-        }
-        }
-      }
-    }
+void PointsToBuilder::copyCells(ObjectID From, ObjectID To) {
+  // Cells From gains meanwhile are copied by drainNewSrcCells.
+  for (size_t I = 0; I < ObjCells[From].size(); ++I) {
+    auto [Off, Cell] = ObjCells[From][I];
+    addEdge(CellNode[Cell], CellNode[getCell(To, Off)]);
   }
 }
 
-void PointsToBuilder::processMemcpys() {
-  for (auto &[DstN, SrcN] : Memcpys) {
-    uint32_t D = find(DstN), S = find(SrcN);
-    if (Pts[D].empty() || Pts[S].empty())
-      continue;
-    std::set<ObjectID> DstObjs, SrcObjs;
-    for (uint32_t C : Pts[D])
-      DstObjs.insert(CellObject[C]);
-    for (uint32_t C : Pts[S])
-      SrcObjs.insert(CellObject[C]);
-    for (ObjectID SO : SrcObjs) {
-      // Snapshot the source object's cells; getCell below may add cells.
-      std::vector<std::pair<int64_t, uint32_t>> SrcCells;
-      for (const auto &[Key, Cell] : CellMap)
-        if (Key.first == SO)
-          SrcCells.emplace_back(Key.second, Cell);
-      for (ObjectID DO : DstObjs)
-        for (const auto &[Off, Cell] : SrcCells)
-          addEdge(CellNode[Cell], CellNode[getCell(DO, Off)]);
-    }
-  }
-}
-
-void PointsToBuilder::collapseCycles() {
-  // Iterative Tarjan SCC over the copy graph restricted to representatives.
-  uint32_t NumNodes = static_cast<uint32_t>(Parent.size());
-  std::vector<uint32_t> Index(NumNodes, 0), Low(NumNodes, 0);
-  std::vector<char> OnStack(NumNodes, 0);
-  std::vector<uint32_t> Stack;
-  uint32_t NextIndex = 1;
-
-  struct Frame {
-    uint32_t Node;
-    std::vector<uint32_t> Succs;
-    size_t NextSucc = 0;
-  };
-  std::vector<Frame> CallStack;
-
-  for (uint32_t Root = 0; Root < NumNodes; ++Root) {
-    if (find(Root) != Root || Index[Root])
-      continue;
-    CallStack.push_back({Root, {}, 0});
-    Index[Root] = Low[Root] = NextIndex++;
-    Stack.push_back(Root);
-    OnStack[Root] = 1;
-    for (uint32_t S : Succ[Root])
-      CallStack.back().Succs.push_back(S);
-
-    while (!CallStack.empty()) {
-      Frame &F = CallStack.back();
-      if (F.NextSucc < F.Succs.size()) {
-        uint32_t W = find(F.Succs[F.NextSucc++]);
-        if (W == F.Node)
-          continue;
-        if (!Index[W]) {
-          Index[W] = Low[W] = NextIndex++;
-          Stack.push_back(W);
-          OnStack[W] = 1;
-          Frame NF{W, {}, 0};
-          for (uint32_t S : Succ[W])
-            NF.Succs.push_back(S);
-          CallStack.push_back(std::move(NF));
-        } else if (OnStack[W]) {
-          Low[F.Node] = std::min(Low[F.Node], Index[W]);
-        }
-        continue;
-      }
-      uint32_t N = F.Node;
-      CallStack.pop_back();
-      if (!CallStack.empty())
-        Low[CallStack.back().Node] =
-            std::min(Low[CallStack.back().Node], Low[N]);
-      if (Low[N] == Index[N]) {
-        // Pop the SCC; merge all members into one node.
-        std::vector<uint32_t> SCC;
-        while (true) {
-          uint32_t W = Stack.back();
-          Stack.pop_back();
-          OnStack[W] = 0;
-          SCC.push_back(W);
-          if (W == N)
-            break;
-        }
-        for (size_t I = 1; I < SCC.size(); ++I)
-          unite(SCC[0], SCC[I]);
-      }
-    }
+void PointsToBuilder::drainNewSrcCells() {
+  while (!NewSrcCells.empty()) {
+    uint32_t Cell = NewSrcCells.back();
+    NewSrcCells.pop_back();
+    ObjectID O = CellObject[Cell];
+    for (uint32_t MI : MemcpyFromObj[O])
+      for (size_t I = 0; I < Memcpys[MI].DstObjs.size(); ++I)
+        addEdge(CellNode[Cell],
+                CellNode[getCell(Memcpys[MI].DstObjs[I], CellOffset[Cell])]);
   }
 }
 
 void PointsToBuilder::solve() {
-  do {
-    AnyChange = false;
-    ++Stats.SolverPasses;
-    propagate();
-    processComplex();
-    processMemcpys();
-    propagate();
-    collapseCycles();
-  } while (AnyChange);
+  ++Stats.SolverPasses;
+  CellSet D;
+  // A round is the nodes queued when it starts. Cycle searches wait for
+  // the end of a round, so one walk serves all of the round's hints.
+  size_t RoundLeft = 0;
+  while (!Worklist.empty() || !NewSrcCells.empty()) {
+    drainNewSrcCells();
+    if (RoundLeft == 0) {
+      if (!CycleRoots.empty())
+        collapseCycles(CycleRoots);
+      CycleRoots.clear();
+      RoundLeft = Worklist.size();
+    }
+    if (Worklist.empty())
+      continue;
+    --RoundLeft;
+    uint32_t N = Worklist.front();
+    Worklist.pop_front();
+    InWork[N] = 0;
+    if (find(N) != N || Delta[N].empty())
+      continue;
+    D.clear();
+    D.swap(Delta[N]);
+    // Complex constraints and copy edges see only the new cells.
+    for (uint32_t I = Cplx.first(N); I != Cplx.End; I = Cplx.next(I)) {
+      Complex C = Cplx.at(I);
+      for (uint32_t Cell : D)
+        apply(C, Cell);
+    }
+    for (uint32_t I = Succ.first(N); I != Succ.End; I = Succ.next(I)) {
+      uint32_t S = find(Succ.at(I));
+      if (S == N)
+        continue;
+      // An edge that brings nothing new between equal sets hints that the
+      // cells came round a cycle; search from it once.
+      if (!addCells(S, D) && Pts[S] == Pts[N] &&
+          CycleChecked.insert(edgeKey(N, S)))
+        CycleRoots.push_back(S);
+    }
+  }
 }
 
-std::set<uint32_t>
-PointsToBuilder::reachableCells(const std::set<uint32_t> &Seeds) {
-  std::set<uint32_t> Seen = Seeds;
-  std::deque<uint32_t> Queue(Seeds.begin(), Seeds.end());
-  auto visit = [&](uint32_t Cell) {
-    if (Seen.insert(Cell).second)
-      Queue.push_back(Cell);
+std::vector<std::vector<uint32_t>>
+PointsToBuilder::findCycles(const std::vector<uint32_t> &Roots) {
+  // Iterative Tarjan over representatives. The walk state persists across
+  // calls and only the nodes a walk visits are reset, so a lazy search
+  // costs what it visits.
+  uint32_t NumNodes = static_cast<uint32_t>(Parent.size());
+  TarjanIndex.resize(NumNodes, 0);
+  TarjanLow.resize(NumNodes, 0);
+  TarjanOnStack.resize(NumNodes, 0);
+  std::vector<uint32_t> Visited, Stack;
+  std::vector<std::pair<uint32_t, uint32_t>> CallStack; // (node, next edge)
+  std::vector<std::vector<uint32_t>> Cycles;
+  uint32_t NextIndex = 1;
+
+  auto enter = [&](uint32_t N) {
+    TarjanIndex[N] = TarjanLow[N] = NextIndex++;
+    Visited.push_back(N);
+    Stack.push_back(N);
+    TarjanOnStack[N] = 1;
+    CallStack.push_back({N, Succ.first(N)});
   };
+  auto walk = [&](uint32_t Root) {
+    Root = find(Root);
+    if (TarjanIndex[Root])
+      return;
+    enter(Root);
+    while (!CallStack.empty()) {
+      auto &[N, Next] = CallStack.back();
+      if (Next != Succ.End) {
+        uint32_t W = find(Succ.at(Next));
+        Next = Succ.next(Next);
+        if (W == N)
+          continue;
+        if (!TarjanIndex[W])
+          enter(W);
+        else if (TarjanOnStack[W])
+          TarjanLow[N] = std::min(TarjanLow[N], TarjanIndex[W]);
+        continue;
+      }
+      uint32_t Done = N;
+      CallStack.pop_back();
+      if (!CallStack.empty()) {
+        uint32_t Up = CallStack.back().first;
+        TarjanLow[Up] = std::min(TarjanLow[Up], TarjanLow[Done]);
+      }
+      if (TarjanLow[Done] != TarjanIndex[Done])
+        continue;
+      std::vector<uint32_t> SCC;
+      uint32_t W;
+      do {
+        W = Stack.back();
+        Stack.pop_back();
+        TarjanOnStack[W] = 0;
+        SCC.push_back(W);
+      } while (W != Done);
+      if (SCC.size() > 1)
+        Cycles.push_back(std::move(SCC));
+    }
+  };
+  if (Roots.empty()) {
+    for (uint32_t N = 0; N < NumNodes; ++N)
+      if (find(N) == N)
+        walk(N);
+  } else {
+    for (uint32_t Root : Roots)
+      walk(Root);
+  }
+  for (uint32_t N : Visited)
+    TarjanIndex[N] = 0;
+  return Cycles;
+}
+
+void PointsToBuilder::collapseCycles(const std::vector<uint32_t> &Roots) {
+  for (const std::vector<uint32_t> &SCC : findCycles(Roots)) {
+    uint32_t Rep = SCC[0];
+    for (size_t I = 1; I < SCC.size(); ++I)
+      Rep = unite(Rep, SCC[I]);
+  }
+}
+
+void PointsToBuilder::collapseFinalCycles() {
+  // Values sharing a node alias even with empty sets, so the final
+  // partition must be exactly the SCCs of the final copy graph. At the
+  // fixpoint every member of a cycle holds the same set: relinking the
+  // members is all that is left to do.
+  for (const std::vector<uint32_t> &SCC : findCycles({})) {
+    for (size_t I = 1; I < SCC.size(); ++I) {
+      assert(Pts[SCC[I]] == Pts[SCC[0]] && "cycle members differ at fixpoint");
+      Parent[SCC[I]] = SCC[0];
+      ++Stats.NodesCollapsed;
+    }
+  }
+}
+
+std::vector<char>
+PointsToBuilder::reachableObjects(const std::vector<ObjectID> &Seeds) {
+  // If one cell of an object is reachable, the whole object is.
+  std::vector<char> Seen(Objects.size(), 0);
+  std::vector<ObjectID> Queue;
+  auto visit = [&](ObjectID O) {
+    if (!Seen[O]) {
+      Seen[O] = 1;
+      Queue.push_back(O);
+    }
+  };
+  for (ObjectID O : Seeds)
+    visit(O);
   while (!Queue.empty()) {
-    uint32_t Cell = Queue.front();
-    Queue.pop_front();
-    // If one cell of an object is reachable, the whole object is.
-    ObjectID O = CellObject[Cell];
-    for (const auto &[Key, Sibling] : CellMap)
-      if (Key.first == O)
-        visit(Sibling);
-    // Follow the contents of the cell.
-    for (uint32_t C : Pts[find(CellNode[Cell])])
-      visit(C);
+    ObjectID O = Queue.back();
+    Queue.pop_back();
+    for (const auto &[Off, Cell] : ObjCells[O])
+      for (uint32_t C : Pts[find(CellNode[Cell])])
+        visit(CellObject[C]);
   }
   return Seen;
 }
@@ -645,68 +788,78 @@ PointsToBuilder::reachableCells(const std::set<uint32_t> &Seeds) {
 bool PointsToBuilder::clobberExternallyReachable() {
   // External code can write external pointers into any memory reachable
   // from external memory. Feed that back into the solution.
-  std::set<uint32_t> Ext = reachableCells({ExternalCellId});
+  std::vector<char> Ext = reachableObjects({ExternalObj});
+  uint32_t ExtNode = CellNode[ExternalCellId];
   bool Changed = false;
-  for (uint32_t Cell : Ext) {
-    AnyChange = false;
-    addPts(CellNode[Cell], ExternalCellId);
-    addEdge(CellNode[ExternalCellId], CellNode[Cell]);
-    Changed |= AnyChange;
+  for (ObjectID O = 0; O < Objects.size(); ++O) {
+    if (!Ext[O])
+      continue;
+    for (size_t I = 0; I < ObjCells[O].size(); ++I) {
+      uint32_t Node = CellNode[ObjCells[O][I].second];
+      Changed |= addPts(Node, ExternalCellId);
+      Changed |= addEdge(ExtNode, Node);
+    }
   }
   return Changed;
 }
 
 void PointsToBuilder::computeEscapes() {
-  auto markAll = [&](const std::set<uint32_t> &Cells, EscapeState E) {
-    for (uint32_t Cell : Cells) {
-      MemObject &O = Objects[CellObject[Cell]];
-      if (O.Escape < E)
-        O.Escape = E;
-    }
+  auto markAll = [&](const std::vector<char> &Reached, EscapeState E) {
+    for (ObjectID O = 0; O < Objects.size(); ++O)
+      if (Reached[O] && Objects[O].Escape < E)
+        Objects[O].Escape = E;
   };
 
   // External: reachable from external memory.
-  markAll(reachableCells({ExternalCellId}), EscapeState::ExternalEscape);
+  markAll(reachableObjects({ExternalObj}), EscapeState::ExternalEscape);
 
-  // Global: reachable from the cells of global objects.
-  std::set<uint32_t> GlobalSeeds;
-  for (const auto &[Key, Cell] : CellMap)
-    if (Objects[Key.first].K == MemObject::Kind::Global)
-      GlobalSeeds.insert(Cell);
-  markAll(reachableCells(GlobalSeeds), EscapeState::GlobalEscape);
+  // Global: reachable from global objects.
+  std::vector<ObjectID> GlobalSeeds;
+  for (ObjectID O = 0; O < Objects.size(); ++O)
+    if (Objects[O].K == MemObject::Kind::Global)
+      GlobalSeeds.push_back(O);
+  markAll(reachableObjects(GlobalSeeds), EscapeState::GlobalEscape);
 
   // Arg: reachable from the formal arguments of analyzed functions.
-  std::set<uint32_t> ArgSeeds;
+  std::vector<ObjectID> ArgSeeds;
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())
       continue;
     for (unsigned I = 0; I < F->getNumArgs(); ++I) {
-      auto It = ValNode.find(F->getArg(I));
-      if (It == ValNode.end())
+      const uint32_t *N = ValNode.find(F->getArg(I));
+      if (!N)
         continue;
-      for (uint32_t C : Pts[find(It->second)])
-        ArgSeeds.insert(C);
+      for (uint32_t C : Pts[find(*N)])
+        ArgSeeds.push_back(CellObject[C]);
     }
   }
-  markAll(reachableCells(ArgSeeds), EscapeState::ArgEscape);
+  markAll(reachableObjects(ArgSeeds), EscapeState::ArgEscape);
 
   Objects[ExternalObj].Escape = EscapeState::ExternalEscape;
 }
 
 void PointsToBuilder::computeViews() {
+  // Gather each object's views by pointer first; the name-ordered sets
+  // are filled once at the end.
+  std::vector<std::vector<RecordType *>> ObjViews(Objects.size());
+  auto view = [&](ObjectID O, RecordType *R) {
+    std::vector<RecordType *> &Vs = ObjViews[O];
+    if (std::find(Vs.begin(), Vs.end(), R) == Vs.end())
+      Vs.push_back(R);
+  };
   // Objects declared with a record type are viewed as that record.
-  for (MemObject &O : Objects) {
+  for (ObjectID O = 0; O < Objects.size(); ++O) {
     Type *DeclTy = nullptr;
-    if (O.K == MemObject::Kind::Stack)
-      DeclTy = cast<AllocaInst>(O.Origin)->getAllocatedType();
-    else if (O.K == MemObject::Kind::Global)
-      DeclTy = cast<GlobalVariable>(O.Origin)->getValueType();
+    if (Objects[O].K == MemObject::Kind::Stack)
+      DeclTy = cast<AllocaInst>(Objects[O].Origin)->getAllocatedType();
+    else if (Objects[O].K == MemObject::Kind::Global)
+      DeclTy = cast<GlobalVariable>(Objects[O].Origin)->getValueType();
     if (!DeclTy)
       continue;
     while (auto *AT = dyn_cast<ArrayType>(DeclTy))
       DeclTy = AT->getElementType();
     if (auto *R = dyn_cast<RecordType>(DeclTy))
-      O.Views.insert(R);
+      view(O, R);
   }
   // Every typed pointer into an object views it as the pointee record.
   // Only one pointer level is stripped: a T** names an object holding a
@@ -721,13 +874,15 @@ void PointsToBuilder::computeViews() {
     auto *R = dyn_cast<RecordType>(Pointee);
     if (!R)
       continue;
-    for (uint32_t C : Pts[find(ValNode[V])])
-      Objects[CellObject[C]].Views.insert(R);
+    for (uint32_t C : Pts[find(*ValNode.find(V))])
+      view(CellObject[C], R);
   }
   // Invert the views once, so objectsViewedAs need not scan every object.
-  for (ObjectID O = 0; O < Objects.size(); ++O)
+  for (ObjectID O = 0; O < Objects.size(); ++O) {
+    Objects[O].Views.insert(ObjViews[O].begin(), ObjViews[O].end());
     for (RecordType *R : Objects[O].Views)
       ObjectsByView[R].push_back(O);
+  }
 }
 
 namespace {
@@ -752,27 +907,55 @@ void buildRows(size_t NumRows, ForEachEntryFn ForEachEntry,
 
 PointsToResult PointsToBuilder::finish() {
   PointsToResult Res;
-  Res.Objects = Objects;
-  Res.CellObject = CellObject;
-  Res.ExternalCell = ExternalCellId;
-  Res.TrackedValues = TrackedValues;
 
-  // Compact: map every tracked value to its representative's final set.
-  Res.NodePointsTo.resize(Parent.size());
-  for (uint32_t N = 0; N < Parent.size(); ++N)
+  // Resolve indirect calls from the final callee-pointer sets. Targets
+  // follow module order, so rendered facts do not depend on addresses.
+  FlatHashMap<const Function *, size_t> FnPosition;
+  if (!IndirectCalls.empty())
+    for (const auto &F : M.functions())
+      FnPosition.tryEmplace(F.get(), FnPosition.size());
+  for (const IndirectCallInst *IC : IndirectCalls) {
+    PointsToResult::CallTargets T;
+    T.Complete = true;
+    for (uint32_t C : Pts[find(*ValNode.find(IC->getCalleePtr()))]) {
+      const MemObject &O = Objects[CellObject[C]];
+      if (O.K == MemObject::Kind::Function && CellOffset[C] == kBaseCell) {
+        const auto *F = cast<Function>(O.Origin);
+        T.Targets.push_back(F);
+        if (F->isDeclaration())
+          T.Complete = false;
+      } else {
+        T.Complete = false;
+      }
+    }
+    std::sort(T.Targets.begin(), T.Targets.end(),
+              [&](const Function *A, const Function *B) {
+                return *FnPosition.find(A) < *FnPosition.find(B);
+              });
+    Res.IndirectTargets.emplace(IC, std::move(T));
+  }
+
+  Stats.NumValueNodes = static_cast<unsigned>(ValNode.size());
+  Stats.NumObjects = static_cast<unsigned>(Objects.size());
+  Stats.NumCells = static_cast<unsigned>(CellNode.size());
+  Res.Stats = Stats;
+
+  // Compact: map every value to its representative's final set.
+  uint32_t NumNodes = static_cast<uint32_t>(Parent.size());
+  Res.NodePointsTo.resize(NumNodes);
+  for (uint32_t N = 0; N < NumNodes; ++N)
     if (find(N) == N)
-      Res.NodePointsTo[N].assign(Pts[N].begin(), Pts[N].end());
-  for (const auto &[V, N] : ValNode)
-    Res.ValueNode.emplace(V, find(N));
+      Res.NodePointsTo[N] = std::move(Pts[N]);
+  ValNode.forEach([&](const Value *, uint32_t &N) { N = find(N); });
 
   // The alias indexes: tracked values per node, then, per cell, the
   // nodes that point at it and denote at least one tracked value.
   std::vector<uint32_t> NodeOf;
   NodeOf.reserve(TrackedValues.size());
   for (const Value *V : TrackedValues)
-    NodeOf.push_back(find(ValNode.at(V)));
+    NodeOf.push_back(*ValNode.find(V));
   buildRows(
-      Parent.size(),
+      NumNodes,
       [&](auto Emit) {
         for (uint32_t Pos = 0; Pos < NodeOf.size(); ++Pos)
           Emit(NodeOf[Pos], Pos);
@@ -781,38 +964,19 @@ PointsToResult PointsToBuilder::finish() {
   buildRows(
       CellNode.size(),
       [&](auto Emit) {
-        for (uint32_t N = 0; N < Parent.size(); ++N)
+        for (uint32_t N = 0; N < NumNodes; ++N)
           if (Res.NodeValueBegin[N] != Res.NodeValueBegin[N + 1])
             for (uint32_t C : Res.NodePointsTo[N])
               Emit(C, N);
       },
       Res.CellNodeBegin, Res.CellNodes);
+
+  Res.ValueNode = std::move(ValNode);
+  Res.Objects = std::move(Objects);
+  Res.CellObject = std::move(CellObject);
+  Res.ExternalCell = ExternalCellId;
+  Res.TrackedValues = std::move(TrackedValues);
   Res.ObjectsByView = std::move(ObjectsByView);
-
-  // Resolve indirect calls from the final callee-pointer sets.
-  for (const IndirectCallInst *IC : IndirectCalls) {
-    PointsToResult::CallTargets T;
-    T.Complete = true;
-    std::set<const Function *> Fns;
-    for (uint32_t C : Pts[find(valueNode(IC->getCalleePtr()))]) {
-      const MemObject &O = Objects[CellObject[C]];
-      if (O.K == MemObject::Kind::Function && CellOffset[C] == kBaseCell)
-        Fns.insert(cast<Function>(O.Origin));
-      else
-        T.Complete = false;
-    }
-    for (const Function *F : Fns) {
-      T.Targets.push_back(F);
-      if (F->isDeclaration())
-        T.Complete = false;
-    }
-    Res.IndirectTargets.emplace(IC, std::move(T));
-  }
-
-  Stats.NumValueNodes = static_cast<unsigned>(ValNode.size());
-  Stats.NumObjects = static_cast<unsigned>(Objects.size());
-  Stats.NumCells = static_cast<unsigned>(CellNode.size());
-  Res.Stats = Stats;
   return Res;
 }
 
@@ -824,13 +988,25 @@ PointsToResult PointsToBuilder::run() {
   ExternalCellId = baseCell(ExternalObj);
   addPts(CellNode[ExternalCellId], ExternalCellId);
 
+  // About one node per value: size the hashed maps once.
+  size_t NumValues = M.globals().size();
+  for (const auto &F : M.functions()) {
+    NumValues += F->getNumArgs() + 1;
+    for (const auto &BB : F->blocks())
+      NumValues += BB->instructions().size();
+  }
+  ValNode.reserve(NumValues);
+  Edges.reserve(NumValues);
+
   collectGlobals();
   for (const auto &F : M.functions())
     collectFunction(*F);
 
+  Solving = true;
   solve();
   while (clobberExternallyReachable())
     solve();
+  collapseFinalCycles();
 
   computeEscapes();
   computeViews();
@@ -846,10 +1022,10 @@ PointsToResult slo::analyzePointsTo(const Module &M) {
 std::vector<PointsToResult::ObjectID>
 PointsToResult::pointedObjects(const Value *V) const {
   std::vector<ObjectID> Out;
-  auto It = ValueNode.find(V);
-  if (It == ValueNode.end())
+  const uint32_t *N = ValueNode.find(V);
+  if (!N)
     return Out;
-  for (uint32_t C : NodePointsTo[It->second])
+  for (uint32_t C : NodePointsTo[*N])
     Out.push_back(CellObject[C]);
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
@@ -857,33 +1033,33 @@ PointsToResult::pointedObjects(const Value *V) const {
 }
 
 bool PointsToResult::pointsToExternal(const Value *V) const {
-  auto It = ValueNode.find(V);
-  if (It == ValueNode.end())
+  const uint32_t *N = ValueNode.find(V);
+  if (!N)
     return true;
-  for (uint32_t C : NodePointsTo[It->second])
+  for (uint32_t C : NodePointsTo[*N])
     if (Objects[CellObject[C]].K == MemObject::Kind::External)
       return true;
   return false;
 }
 
 EscapeState PointsToResult::escapeOf(const Value *V) const {
-  auto It = ValueNode.find(V);
-  if (It == ValueNode.end())
+  const uint32_t *N = ValueNode.find(V);
+  if (!N)
     return EscapeState::ExternalEscape;
   EscapeState E = EscapeState::NoEscape;
-  for (uint32_t C : NodePointsTo[It->second])
+  for (uint32_t C : NodePointsTo[*N])
     E = std::max(E, Objects[CellObject[C]].Escape);
   return E;
 }
 
 bool PointsToResult::mayAlias(const Value *A, const Value *B) const {
-  auto AIt = ValueNode.find(A), BIt = ValueNode.find(B);
-  if (AIt == ValueNode.end() || BIt == ValueNode.end())
+  const uint32_t *NA = ValueNode.find(A), *NB = ValueNode.find(B);
+  if (!NA || !NB)
     return true;
-  if (AIt->second == BIt->second)
+  if (*NA == *NB)
     return true;
-  const auto &PA = NodePointsTo[AIt->second];
-  const auto &PB = NodePointsTo[BIt->second];
+  const auto &PA = NodePointsTo[*NA];
+  const auto &PB = NodePointsTo[*NB];
   // Both sets are sorted.
   size_t I = 0, J = 0;
   while (I < PA.size() && J < PB.size()) {
@@ -898,11 +1074,11 @@ bool PointsToResult::mayAlias(const Value *A, const Value *B) const {
 }
 
 std::vector<const Value *> PointsToResult::aliasesOf(const Value *V) const {
-  auto It = ValueNode.find(V);
-  if (It == ValueNode.end())
+  const uint32_t *N = ValueNode.find(V);
+  if (!N)
     return TrackedValues;
   // The nodes that may alias V: its own, and each node sharing a cell.
-  uint32_t Node = It->second;
+  uint32_t Node = *N;
   std::vector<uint32_t> Nodes{Node};
   for (uint32_t C : NodePointsTo[Node])
     Nodes.insert(Nodes.end(), CellNodes.begin() + CellNodeBegin[C],

@@ -26,8 +26,17 @@
 ///    (casts, index arithmetic, call argument/return wiring), field
 ///    projection (FieldAddr), load, store. Calls to library/external
 ///    declarations route through the external object.
-///  - The solver is a worklist fixpoint with offline cycle collapsing
-///    (Tarjan SCC over the copy graph, merged via union-find).
+///  - Nodes (values, function returns, cells) are numbered densely; each
+///    object lists its cells sorted by offset. Points-to sets are sorted
+///    vectors of cell ids.
+///  - The solver is a worklist fixpoint with difference propagation:
+///    copy edges and complex constraints see only the cells that are new
+///    at a node since its last visit. Cycles are detected online and
+///    lazily (Hardekopf & Lin, PLDI 2007): an edge that brings nothing
+///    new between equal sets marks a Tarjan walk, run once per worklist
+///    round, and the cycles found merge via union-find. One last Tarjan
+///    pass leaves exactly the SCCs of the final copy graph merged, since
+///    values sharing a node alias.
 ///  - Escape states form a lattice NoEscape < ArgEscape < GlobalEscape <
 ///    ExternalEscape, computed post-solve by reachability: objects
 ///    reachable from the external object's contents escape externally,
@@ -40,6 +49,7 @@
 #define SLO_ANALYSIS_POINTSTO_H
 
 #include "ir/Module.h"
+#include "support/FlatHashMap.h"
 
 #include <cstdint>
 #include <map>
@@ -64,6 +74,14 @@ enum class EscapeState : uint8_t {
 
 const char *escapeStateName(EscapeState E);
 
+/// Orders records by name, which is unique within a type context, so
+/// anything that walks a view set does so in the same order every run.
+struct RecordNameLess {
+  bool operator()(const RecordType *A, const RecordType *B) const {
+    return A->getRecordName() < B->getRecordName();
+  }
+};
+
 /// One abstract memory object.
 struct MemObject {
   enum class Kind { Stack, Heap, Global, Function, External };
@@ -73,8 +91,8 @@ struct MemObject {
   const Value *Origin = nullptr;
   EscapeState Escape = EscapeState::NoEscape;
   /// Record types the object's memory is viewed as anywhere in the
-  /// program (via typed pointers to the object).
-  std::set<RecordType *> Views;
+  /// program (via typed pointers to the object), ordered by name.
+  std::set<RecordType *, RecordNameLess> Views;
 
   /// Short rendering for justification strings ("heap:init_network").
   std::string describe() const;
@@ -130,9 +148,9 @@ public:
     return TrackedValues;
   }
 
-  /// Resolution of an indirect call: the possible targets, and whether
-  /// the set is complete (the callee pointer cannot point outside the
-  /// collected function set).
+  /// Resolution of an indirect call: the possible targets, in module
+  /// order, and whether the set is complete (the callee pointer cannot
+  /// point outside the collected function set).
   struct CallTargets {
     std::vector<const Function *> Targets;
     bool Complete = false;
@@ -144,8 +162,8 @@ public:
 private:
   friend class PointsToBuilder;
 
-  /// Node id per tracked value (post-union-find representative).
-  std::map<const Value *, uint32_t> ValueNode;
+  /// Node id per value (post-union-find representative).
+  FlatHashMap<const Value *, uint32_t> ValueNode;
   /// Representative points-to set per node: cell ids.
   std::vector<std::vector<uint32_t>> NodePointsTo;
   /// Cell id -> owning object.

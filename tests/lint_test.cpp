@@ -268,6 +268,34 @@ TEST(LintTest, CastPunPinsTheRecordLayout) {
   EXPECT_FALSE(L.R.hasErrors());
 }
 
+TEST(LintTest, PunnedObjectPinsItsViewsInNameOrder) {
+  // One heap object viewed as two records. The raw cast pins both views
+  // at once, in view-set order: by name, not by where the allocator put
+  // the records ('zeta' is created first).
+  Linted L = lint(R"(
+    extern void print_i64(long v);
+    struct zeta { long a; long b; };
+    struct alpha { long x; long y; };
+    int main() {
+      long *raw = (long*) malloc(4 * sizeof(long));
+      raw[0] = 1;
+      raw[1] = 2;
+      struct zeta *z = (struct zeta*) raw;
+      struct alpha *a = (struct alpha*) raw;
+      print_i64(z->a + a->y);
+      return 0;
+    }
+  )");
+  std::vector<const LintFinding *> Pins;
+  for (const LintFinding &F : L.R.Findings)
+    if (F.Kind == LintKind::LayoutPin)
+      Pins.push_back(&F);
+  ASSERT_EQ(Pins.size(), 2u);
+  EXPECT_EQ(Pins[0]->RecordName, "alpha");
+  EXPECT_EQ(Pins[1]->RecordName, "zeta");
+  EXPECT_EQ(Pins[0]->Inst, Pins[1]->Inst);
+}
+
 TEST(LintTest, OutOfBoundsFieldArithmeticPins) {
   Linted L = lint(R"(
     extern void print_i64(long v);

@@ -296,6 +296,59 @@ TEST(PointsToTest, IndirectCallResolvedButNotProven) {
   EXPECT_EQ(T.Targets[0]->getName(), "taker");
 }
 
+TEST(PointsToTest, IndirectCallTargetsFollowModuleOrder) {
+  auto Ctx = std::make_unique<IRContext>();
+  std::vector<std::string> FeDiags;
+  std::unique_ptr<Module> M = compileMiniC(*Ctx, "t", R"(
+    struct s { long a; };
+    struct s *p;
+    void fa(struct s *q) { q->a = 1; }
+    void fb(struct s *q) { q->a = 2; }
+    int main() {
+      p = (struct s*) malloc(4 * sizeof(struct s));
+      void (*fn)(struct s*);
+      long k = 0;
+      if (k == 0) { fn = fa; } else { fn = fb; }
+      fn(p);
+      return 0;
+    }
+  )", FeDiags);
+  ASSERT_TRUE(M) << (FeDiags.empty() ? "?" : FeDiags[0]);
+  // Move the target at the lower address to the end of the module, so
+  // module order and address order disagree whatever the allocator did.
+  Function *Fa = M->lookupFunction("fa"), *Fb = M->lookupFunction("fb");
+  ASSERT_TRUE(Fa && Fb);
+  Function *Low = std::less<const Function *>()(Fa, Fb) ? Fa : Fb;
+  Function *High = Low == Fa ? Fb : Fa;
+  M->adoptFunction(M->releaseFunction(Low));
+
+  PointsToResult PT = analyzePointsTo(*M);
+  const IndirectCallInst *IC = nullptr;
+  for (const auto &F : M->functions())
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->instructions())
+        if (const auto *C = dyn_cast<IndirectCallInst>(I.get()))
+          IC = C;
+  ASSERT_NE(IC, nullptr);
+  PointsToResult::CallTargets T = PT.callTargets(IC);
+  EXPECT_TRUE(T.Complete);
+  ASSERT_EQ(T.Targets.size(), 2u);
+  EXPECT_EQ(T.Targets[0], High);
+  EXPECT_EQ(T.Targets[1], Low);
+
+  // The refinement fact renders the same order.
+  LegalityResult Legal = analyzeLegality(*M);
+  RefinementResult Refined = refineLegality(*M, Legal, PT);
+  const TypeRefinement *TR =
+      Refined.get(Ctx->getTypes().lookupRecord("s"));
+  ASSERT_NE(TR, nullptr);
+  const SiteProof *P = proofFor(*TR, Violation::IND);
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(P->Fact, "indirect call fully resolves to 2 analyzed "
+                     "function(s): '" +
+                         High->getName() + "', '" + Low->getName() + "'");
+}
+
 TEST(PointsToTest, DistinctAllocationsDoNotAlias) {
   Refined R = refine(R"(
     struct a { long x; long y; long z; };

@@ -3,6 +3,7 @@
 #include "frontend/Lexer.h"
 #include "frontend/Parser.h"
 #include "support/Diagnostics.h"
+#include "support/FlatHashMap.h"
 #include "support/Format.h"
 #include "support/Random.h"
 #include "support/ThreadPool.h"
@@ -126,6 +127,35 @@ TEST(RngTest, SplitUpFrontIsConsumptionOrderIndependent) {
 static std::vector<Token> lex(const char *Src, std::string &Err) {
   Lexer L(Src);
   return L.lexAll(Err);
+}
+
+TEST(FlatHashMapTest, SurvivesGrowthAndCollidingKeys) {
+  // Keys sharing their low twelve bits, like page-aligned pointers, land
+  // in probe chains; growth past the initial 16 slots rehashes them.
+  FlatHashMap<uint64_t, uint32_t> Map;
+  for (uint32_t I = 1; I <= 1000; ++I) {
+    auto [Slot, Inserted] = Map.tryEmplace(uint64_t(I) << 12, I);
+    ASSERT_TRUE(Inserted);
+    ASSERT_EQ(*Slot, I);
+  }
+  Map.reserve(5000);
+  EXPECT_EQ(Map.size(), 1000u);
+  EXPECT_FALSE(Map.insert(uint64_t(7) << 12));
+  EXPECT_EQ(*Map.tryEmplace(uint64_t(7) << 12, 0).first, 7u);
+  for (uint32_t I = 1; I <= 1000; ++I) {
+    const uint32_t *V = Map.find(uint64_t(I) << 12);
+    ASSERT_NE(V, nullptr);
+    EXPECT_EQ(*V, I);
+  }
+  EXPECT_EQ(Map.find(uint64_t(1001) << 12), nullptr);
+  EXPECT_EQ(Map.find(0), nullptr);
+  unsigned Visited = 0, Mismatched = 0;
+  Map.forEach([&](uint64_t Key, uint32_t &V) {
+    ++Visited;
+    Mismatched += (Key >> 12) != V;
+  });
+  EXPECT_EQ(Visited, 1000u);
+  EXPECT_EQ(Mismatched, 0u);
 }
 
 TEST(LexerTest, TokenKinds) {
