@@ -99,8 +99,8 @@ uint64_t edgeKey(uint32_t From, uint32_t To) {
 }
 
 /// One singly linked list per node, all in one pool: appending allocates
-/// nothing per node, and merging two nodes' lists is O(1). Items appended
-/// during a walk are visited by that walk.
+/// nothing per node. Items appended during a walk are visited by that
+/// walk.
 template <typename T> class NodeLists {
 public:
   static constexpr uint32_t End = ~0u;
@@ -114,14 +114,6 @@ public:
     Items.push_back({Item, End});
     (Tail[N] == End ? Head[N] : Items[Tail[N]].second) = I;
     Tail[N] = I;
-  }
-  /// Moves \p B's list onto the end of \p A's.
-  void splice(uint32_t A, uint32_t B) {
-    if (Head[B] == End)
-      return;
-    (Tail[A] == End ? Head[A] : Items[Tail[A]].second) = Head[B];
-    Tail[A] = Tail[B];
-    Head[B] = Tail[B] = End;
   }
   uint32_t first(uint32_t N) const { return Head[N]; }
   uint32_t next(uint32_t I) const { return Items[I].second; }
@@ -143,10 +135,8 @@ namespace slo {
 /// meets it, one per function's return, one per cell. Each node keeps its
 /// points-to set and the part of it not yet pushed through its copy edges
 /// and complex constraints (its delta), so a pass over a node costs what
-/// is new at the node, not its whole set. Copy cycles are found lazily
-/// (Hardekopf & Lin, PLDI 2007): an edge that brings nothing new between
-/// equal sets marks its head, and at the end of each worklist round one
-/// Tarjan walk from the marked heads collapses the cycles it reaches.
+/// is new at the node, not its whole set. Nodes never merge while
+/// solving; one Tarjan walk at the fixpoint merges the copy cycles.
 class PointsToBuilder {
 public:
   explicit PointsToBuilder(const Module &M) : M(M) {}
@@ -181,20 +171,16 @@ private:
   const Module &M;
 
   // --- Node space: one node per value, function return and cell. ---
-  std::vector<uint32_t> Parent;           // union-find
-  std::vector<CellSet> Pts;               // cells pointed to, per rep
-  std::vector<CellSet> Delta;             // cells not yet propagated
-  NodeLists<uint32_t> Succ;               // copy edges, per rep
-  NodeLists<Complex> Cplx;                // complex constraints, per rep
+  std::vector<CellSet> Pts;   // cells pointed to
+  std::vector<CellSet> Delta; // cells not yet propagated
+  NodeLists<uint32_t> Succ;   // copy edges
+  NodeLists<Complex> Cplx;    // complex constraints
   std::vector<char> InWork;
   std::deque<uint32_t> Worklist;
-  /// Copy edges present, keyed by their endpoints when added.
+  /// Copy edges present, keyed by their endpoints.
   FlatHashMap<uint64_t, bool> Edges;
-  /// Edges whose equal ends already triggered a cycle search.
-  FlatHashMap<uint64_t, bool> CycleChecked;
-  std::vector<uint32_t> CycleRoots;
-  std::vector<uint32_t> TarjanIndex, TarjanLow;
-  std::vector<char> TarjanOnStack;
+  /// The node each node merged into at the fixpoint (itself if none).
+  std::vector<uint32_t> Rep;
   CellSet Scratch, NewCells;
   bool Solving = false;
 
@@ -226,18 +212,8 @@ private:
   std::map<const RecordType *, std::vector<ObjectID>> ObjectsByView;
   PointsToStats Stats;
 
-  // Union-find -------------------------------------------------------------
-  uint32_t find(uint32_t N) {
-    while (Parent[N] != N) {
-      Parent[N] = Parent[Parent[N]];
-      N = Parent[N];
-    }
-    return N;
-  }
-
   uint32_t newNode() {
-    uint32_t N = static_cast<uint32_t>(Parent.size());
-    Parent.push_back(N);
+    uint32_t N = static_cast<uint32_t>(Pts.size());
     Pts.emplace_back();
     Delta.emplace_back();
     Succ.addNode();
@@ -253,8 +229,8 @@ private:
     }
   }
 
-  /// Adds the cells of \p Src missing from representative \p N to its set
-  /// and its delta; true if any was new.
+  /// Adds the cells of \p Src missing from node \p N to its set and its
+  /// delta; true if any was new.
   bool addCells(uint32_t N, const CellSet &Src) {
     if (Src.size() == 1)
       return addCell(N, Src[0]);
@@ -277,24 +253,6 @@ private:
     return true;
   }
 
-  /// Merges representative \p B into representative \p A. The merged node
-  /// re-runs its constraints over its whole set: each side's constraints
-  /// have seen only that side's cells.
-  uint32_t unite(uint32_t A, uint32_t B) {
-    if (Pts[B].size() > Pts[A].size())
-      std::swap(A, B);
-    Parent[B] = A;
-    mergeSorted(Pts[A], Pts[B], Scratch);
-    Succ.splice(A, B);
-    Cplx.splice(A, B);
-    Delta[A] = Pts[A];
-    CellSet().swap(Pts[B]);
-    CellSet().swap(Delta[B]);
-    ++Stats.NodesCollapsed;
-    push(A);
-    return A;
-  }
-
   // Graph construction -----------------------------------------------------
   uint32_t valueNode(const Value *V) {
     auto [Slot, Inserted] = ValNode.tryEmplace(V, 0);
@@ -305,9 +263,9 @@ private:
       TrackedValues.push_back(V);
     // Address-producing values seed their own points-to set.
     if (const auto *GV = dyn_cast<GlobalVariable>(V))
-      addPts(N, baseCell(newObject(MemObject::Kind::Global, GV)));
+      addCell(N, baseCell(newObject(MemObject::Kind::Global, GV)));
     else if (const auto *F = dyn_cast<Function>(V))
-      addPts(N, baseCell(newObject(MemObject::Kind::Function, F)));
+      addCell(N, baseCell(newObject(MemObject::Kind::Function, F)));
     return N;
   }
 
@@ -351,12 +309,8 @@ private:
 
   uint32_t baseCell(ObjectID O) { return getCell(O, kBaseCell); }
 
-  bool addPts(uint32_t N, uint32_t Cell) { return addCell(find(N), Cell); }
-
   /// Adds the copy edge From -> To; true if it is new.
   bool addEdge(uint32_t From, uint32_t To) {
-    From = find(From);
-    To = find(To);
     if (From == To || !Edges.insert(edgeKey(From, To)))
       return false;
     Succ.append(From, To);
@@ -368,7 +322,6 @@ private:
   }
 
   void addComplex(uint32_t N, Complex C) {
-    N = find(N);
     Cplx.append(N, C);
     ++Stats.NumComplexConstraints;
     // While solving, the node may already have propagated cells the new
@@ -395,12 +348,7 @@ private:
   void apply(const Complex &C, uint32_t Cell);
   void copyCells(ObjectID From, ObjectID To);
   void drainNewSrcCells();
-  /// Tarjan SCC over the copy graph from \p Roots (every representative
-  /// when empty); returns the SCCs of two or more nodes.
-  std::vector<std::vector<uint32_t>>
-  findCycles(const std::vector<uint32_t> &Roots);
-  void collapseCycles(const std::vector<uint32_t> &Roots);
-  void collapseFinalCycles();
+  void collapseCycles();
   bool clobberExternallyReachable();
   std::vector<char> reachableObjects(const std::vector<ObjectID> &Seeds);
 
@@ -436,14 +384,14 @@ void PointsToBuilder::collectFunction(const Function &F) {
 void PointsToBuilder::collectInstruction(const Instruction &I) {
   switch (I.getOpcode()) {
   case Instruction::OpAlloca:
-    addPts(valueNode(&I), baseCell(newObject(MemObject::Kind::Stack, &I)));
+    addCell(valueNode(&I), baseCell(newObject(MemObject::Kind::Stack, &I)));
     break;
   case Instruction::OpMalloc:
   case Instruction::OpCalloc:
-    addPts(valueNode(&I), baseCell(newObject(MemObject::Kind::Heap, &I)));
+    addCell(valueNode(&I), baseCell(newObject(MemObject::Kind::Heap, &I)));
     break;
   case Instruction::OpRealloc:
-    addPts(valueNode(&I), baseCell(newObject(MemObject::Kind::Heap, &I)));
+    addCell(valueNode(&I), baseCell(newObject(MemObject::Kind::Heap, &I)));
     // The reallocated block aliases the original pointer's objects.
     addEdge(valueNode(cast<ReallocInst>(&I)->getPtr()), valueNode(&I));
     break;
@@ -513,6 +461,10 @@ void PointsToBuilder::collectInstruction(const Instruction &I) {
   case Instruction::OpICall: {
     const auto *IC = cast<IndirectCallInst>(&I);
     IndirectCalls.push_back(IC);
+    // Number the arguments now, in walk order, rather than when the
+    // solver first wires a target: trackedValues() order is output.
+    for (unsigned A = 0; A < IC->getNumArgs(); ++A)
+      valueNode(IC->getArg(A));
     addComplex(valueNode(IC->getCalleePtr()),
                Complex{Complex::ICall, valueNode(&I), 0, IC});
     break;
@@ -528,8 +480,8 @@ void PointsToBuilder::collectInstruction(const Instruction &I) {
     uint32_t Index = static_cast<uint32_t>(Memcpys.size());
     Memcpys.emplace_back();
     uint32_t Dst = valueNode(MC->getDst()), Src = valueNode(MC->getSrc());
-    Cplx.append(find(Dst), Complex{Complex::MemcpyDst, Index, 0, nullptr});
-    Cplx.append(find(Src), Complex{Complex::MemcpySrc, Index, 0, nullptr});
+    Cplx.append(Dst, Complex{Complex::MemcpyDst, Index, 0, nullptr});
+    Cplx.append(Src, Complex{Complex::MemcpySrc, Index, 0, nullptr});
     ++Stats.NumComplexConstraints;
     break;
   }
@@ -571,7 +523,7 @@ void PointsToBuilder::apply(const Complex &C, uint32_t Cell) {
     break;
   case Complex::Field: {
     int64_t Base = CellOffset[Cell] == kBaseCell ? 0 : CellOffset[Cell];
-    addPts(C.Other, getCell(CellObject[Cell], Base + C.Off));
+    addCell(C.Other, getCell(CellObject[Cell], Base + C.Off));
     break;
   }
   case Complex::ExtStore:
@@ -628,24 +580,14 @@ void PointsToBuilder::drainNewSrcCells() {
 void PointsToBuilder::solve() {
   ++Stats.SolverPasses;
   CellSet D;
-  // A round is the nodes queued when it starts. Cycle searches wait for
-  // the end of a round, so one walk serves all of the round's hints.
-  size_t RoundLeft = 0;
   while (!Worklist.empty() || !NewSrcCells.empty()) {
     drainNewSrcCells();
-    if (RoundLeft == 0) {
-      if (!CycleRoots.empty())
-        collapseCycles(CycleRoots);
-      CycleRoots.clear();
-      RoundLeft = Worklist.size();
-    }
     if (Worklist.empty())
       continue;
-    --RoundLeft;
     uint32_t N = Worklist.front();
     Worklist.pop_front();
     InWork[N] = 0;
-    if (find(N) != N || Delta[N].empty())
+    if (Delta[N].empty())
       continue;
     D.clear();
     D.swap(Delta[N]);
@@ -655,109 +597,62 @@ void PointsToBuilder::solve() {
       for (uint32_t Cell : D)
         apply(C, Cell);
     }
-    for (uint32_t I = Succ.first(N); I != Succ.End; I = Succ.next(I)) {
-      uint32_t S = find(Succ.at(I));
-      if (S == N)
-        continue;
-      // An edge that brings nothing new between equal sets hints that the
-      // cells came round a cycle; search from it once.
-      if (!addCells(S, D) && Pts[S] == Pts[N] &&
-          CycleChecked.insert(edgeKey(N, S)))
-        CycleRoots.push_back(S);
-    }
+    for (uint32_t I = Succ.first(N); I != Succ.End; I = Succ.next(I))
+      addCells(Succ.at(I), D);
   }
 }
 
-std::vector<std::vector<uint32_t>>
-PointsToBuilder::findCycles(const std::vector<uint32_t> &Roots) {
-  // Iterative Tarjan over representatives. The walk state persists across
-  // calls and only the nodes a walk visits are reset, so a lazy search
-  // costs what it visits.
-  uint32_t NumNodes = static_cast<uint32_t>(Parent.size());
-  TarjanIndex.resize(NumNodes, 0);
-  TarjanLow.resize(NumNodes, 0);
-  TarjanOnStack.resize(NumNodes, 0);
-  std::vector<uint32_t> Visited, Stack;
+void PointsToBuilder::collapseCycles() {
+  // Values sharing a node alias even with empty sets, so the partition
+  // must be exactly the SCCs of the final copy graph. At the fixpoint
+  // every member of a cycle holds the same set: pointing the members at
+  // one of them is all that is left to do. Iterative Tarjan.
+  uint32_t NumNodes = static_cast<uint32_t>(Pts.size());
+  Rep.resize(NumNodes);
+  std::vector<uint32_t> Index(NumNodes, 0), Low(NumNodes, 0), Stack;
+  std::vector<char> OnStack(NumNodes, 0);
   std::vector<std::pair<uint32_t, uint32_t>> CallStack; // (node, next edge)
-  std::vector<std::vector<uint32_t>> Cycles;
   uint32_t NextIndex = 1;
 
   auto enter = [&](uint32_t N) {
-    TarjanIndex[N] = TarjanLow[N] = NextIndex++;
-    Visited.push_back(N);
+    Index[N] = Low[N] = NextIndex++;
     Stack.push_back(N);
-    TarjanOnStack[N] = 1;
+    OnStack[N] = 1;
     CallStack.push_back({N, Succ.first(N)});
   };
-  auto walk = [&](uint32_t Root) {
-    Root = find(Root);
-    if (TarjanIndex[Root])
-      return;
+  for (uint32_t Root = 0; Root < NumNodes; ++Root) {
+    if (Index[Root])
+      continue;
     enter(Root);
     while (!CallStack.empty()) {
       auto &[N, Next] = CallStack.back();
       if (Next != Succ.End) {
-        uint32_t W = find(Succ.at(Next));
+        uint32_t W = Succ.at(Next);
         Next = Succ.next(Next);
-        if (W == N)
-          continue;
-        if (!TarjanIndex[W])
+        if (!Index[W])
           enter(W);
-        else if (TarjanOnStack[W])
-          TarjanLow[N] = std::min(TarjanLow[N], TarjanIndex[W]);
+        else if (OnStack[W])
+          Low[N] = std::min(Low[N], Index[W]);
         continue;
       }
       uint32_t Done = N;
       CallStack.pop_back();
       if (!CallStack.empty()) {
         uint32_t Up = CallStack.back().first;
-        TarjanLow[Up] = std::min(TarjanLow[Up], TarjanLow[Done]);
+        Low[Up] = std::min(Low[Up], Low[Done]);
       }
-      if (TarjanLow[Done] != TarjanIndex[Done])
+      if (Low[Done] != Index[Done])
         continue;
-      std::vector<uint32_t> SCC;
       uint32_t W;
       do {
         W = Stack.back();
         Stack.pop_back();
-        TarjanOnStack[W] = 0;
-        SCC.push_back(W);
+        OnStack[W] = 0;
+        Rep[W] = Done;
+        assert(Pts[W] == Pts[Done] && "cycle members differ at fixpoint");
+        if (W != Done)
+          ++Stats.NodesCollapsed;
       } while (W != Done);
-      if (SCC.size() > 1)
-        Cycles.push_back(std::move(SCC));
-    }
-  };
-  if (Roots.empty()) {
-    for (uint32_t N = 0; N < NumNodes; ++N)
-      if (find(N) == N)
-        walk(N);
-  } else {
-    for (uint32_t Root : Roots)
-      walk(Root);
-  }
-  for (uint32_t N : Visited)
-    TarjanIndex[N] = 0;
-  return Cycles;
-}
-
-void PointsToBuilder::collapseCycles(const std::vector<uint32_t> &Roots) {
-  for (const std::vector<uint32_t> &SCC : findCycles(Roots)) {
-    uint32_t Rep = SCC[0];
-    for (size_t I = 1; I < SCC.size(); ++I)
-      Rep = unite(Rep, SCC[I]);
-  }
-}
-
-void PointsToBuilder::collapseFinalCycles() {
-  // Values sharing a node alias even with empty sets, so the final
-  // partition must be exactly the SCCs of the final copy graph. At the
-  // fixpoint every member of a cycle holds the same set: relinking the
-  // members is all that is left to do.
-  for (const std::vector<uint32_t> &SCC : findCycles({})) {
-    for (size_t I = 1; I < SCC.size(); ++I) {
-      assert(Pts[SCC[I]] == Pts[SCC[0]] && "cycle members differ at fixpoint");
-      Parent[SCC[I]] = SCC[0];
-      ++Stats.NodesCollapsed;
     }
   }
 }
@@ -779,7 +674,7 @@ PointsToBuilder::reachableObjects(const std::vector<ObjectID> &Seeds) {
     ObjectID O = Queue.back();
     Queue.pop_back();
     for (const auto &[Off, Cell] : ObjCells[O])
-      for (uint32_t C : Pts[find(CellNode[Cell])])
+      for (uint32_t C : Pts[CellNode[Cell]])
         visit(CellObject[C]);
   }
   return Seen;
@@ -796,7 +691,7 @@ bool PointsToBuilder::clobberExternallyReachable() {
       continue;
     for (size_t I = 0; I < ObjCells[O].size(); ++I) {
       uint32_t Node = CellNode[ObjCells[O][I].second];
-      Changed |= addPts(Node, ExternalCellId);
+      Changed |= addCell(Node, ExternalCellId);
       Changed |= addEdge(ExtNode, Node);
     }
   }
@@ -829,7 +724,7 @@ void PointsToBuilder::computeEscapes() {
       const uint32_t *N = ValNode.find(F->getArg(I));
       if (!N)
         continue;
-      for (uint32_t C : Pts[find(*N)])
+      for (uint32_t C : Pts[*N])
         ArgSeeds.push_back(CellObject[C]);
     }
   }
@@ -839,27 +734,19 @@ void PointsToBuilder::computeEscapes() {
 }
 
 void PointsToBuilder::computeViews() {
-  // Gather each object's views by pointer first; the name-ordered sets
-  // are filled once at the end.
-  std::vector<std::vector<RecordType *>> ObjViews(Objects.size());
-  auto view = [&](ObjectID O, RecordType *R) {
-    std::vector<RecordType *> &Vs = ObjViews[O];
-    if (std::find(Vs.begin(), Vs.end(), R) == Vs.end())
-      Vs.push_back(R);
-  };
   // Objects declared with a record type are viewed as that record.
-  for (ObjectID O = 0; O < Objects.size(); ++O) {
+  for (MemObject &O : Objects) {
     Type *DeclTy = nullptr;
-    if (Objects[O].K == MemObject::Kind::Stack)
-      DeclTy = cast<AllocaInst>(Objects[O].Origin)->getAllocatedType();
-    else if (Objects[O].K == MemObject::Kind::Global)
-      DeclTy = cast<GlobalVariable>(Objects[O].Origin)->getValueType();
+    if (O.K == MemObject::Kind::Stack)
+      DeclTy = cast<AllocaInst>(O.Origin)->getAllocatedType();
+    else if (O.K == MemObject::Kind::Global)
+      DeclTy = cast<GlobalVariable>(O.Origin)->getValueType();
     if (!DeclTy)
       continue;
     while (auto *AT = dyn_cast<ArrayType>(DeclTy))
       DeclTy = AT->getElementType();
     if (auto *R = dyn_cast<RecordType>(DeclTy))
-      view(O, R);
+      O.Views.insert(R);
   }
   // Every typed pointer into an object views it as the pointee record.
   // Only one pointer level is stripped: a T** names an object holding a
@@ -874,15 +761,13 @@ void PointsToBuilder::computeViews() {
     auto *R = dyn_cast<RecordType>(Pointee);
     if (!R)
       continue;
-    for (uint32_t C : Pts[find(*ValNode.find(V))])
-      view(CellObject[C], R);
+    for (uint32_t C : Pts[*ValNode.find(V)])
+      Objects[CellObject[C]].Views.insert(R);
   }
   // Invert the views once, so objectsViewedAs need not scan every object.
-  for (ObjectID O = 0; O < Objects.size(); ++O) {
-    Objects[O].Views.insert(ObjViews[O].begin(), ObjViews[O].end());
+  for (ObjectID O = 0; O < Objects.size(); ++O)
     for (RecordType *R : Objects[O].Views)
       ObjectsByView[R].push_back(O);
-  }
 }
 
 namespace {
@@ -917,7 +802,7 @@ PointsToResult PointsToBuilder::finish() {
   for (const IndirectCallInst *IC : IndirectCalls) {
     PointsToResult::CallTargets T;
     T.Complete = true;
-    for (uint32_t C : Pts[find(*ValNode.find(IC->getCalleePtr()))]) {
+    for (uint32_t C : Pts[*ValNode.find(IC->getCalleePtr())]) {
       const MemObject &O = Objects[CellObject[C]];
       if (O.K == MemObject::Kind::Function && CellOffset[C] == kBaseCell) {
         const auto *F = cast<Function>(O.Origin);
@@ -941,12 +826,12 @@ PointsToResult PointsToBuilder::finish() {
   Res.Stats = Stats;
 
   // Compact: map every value to its representative's final set.
-  uint32_t NumNodes = static_cast<uint32_t>(Parent.size());
+  uint32_t NumNodes = static_cast<uint32_t>(Pts.size());
   Res.NodePointsTo.resize(NumNodes);
   for (uint32_t N = 0; N < NumNodes; ++N)
-    if (find(N) == N)
+    if (Rep[N] == N)
       Res.NodePointsTo[N] = std::move(Pts[N]);
-  ValNode.forEach([&](const Value *, uint32_t &N) { N = find(N); });
+  ValNode.forEach([&](const Value *, uint32_t &N) { N = Rep[N]; });
 
   // The alias indexes: tracked values per node, then, per cell, the
   // nodes that point at it and denote at least one tracked value.
@@ -986,7 +871,7 @@ PointsToResult PointsToBuilder::run() {
   // contains pointers to external memory).
   ExternalObj = newObject(MemObject::Kind::External, nullptr);
   ExternalCellId = baseCell(ExternalObj);
-  addPts(CellNode[ExternalCellId], ExternalCellId);
+  addCell(CellNode[ExternalCellId], ExternalCellId);
 
   // About one node per value: size the hashed maps once.
   size_t NumValues = M.globals().size();
@@ -1006,7 +891,7 @@ PointsToResult PointsToBuilder::run() {
   solve();
   while (clobberExternallyReachable())
     solve();
-  collapseFinalCycles();
+  collapseCycles();
 
   computeEscapes();
   computeViews();

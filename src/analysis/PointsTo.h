@@ -31,12 +31,9 @@
 ///    vectors of cell ids.
 ///  - The solver is a worklist fixpoint with difference propagation:
 ///    copy edges and complex constraints see only the cells that are new
-///    at a node since its last visit. Cycles are detected online and
-///    lazily (Hardekopf & Lin, PLDI 2007): an edge that brings nothing
-///    new between equal sets marks a Tarjan walk, run once per worklist
-///    round, and the cycles found merge via union-find. One last Tarjan
-///    pass leaves exactly the SCCs of the final copy graph merged, since
-///    values sharing a node alias.
+///    at a node since its last visit. Nodes do not merge while solving;
+///    one Tarjan pass over the final copy graph then merges exactly its
+///    SCCs, since values sharing a node alias.
 ///  - Escape states form a lattice NoEscape < ArgEscape < GlobalEscape <
 ///    ExternalEscape, computed post-solve by reachability: objects
 ///    reachable from the external object's contents escape externally,
@@ -162,7 +159,7 @@ public:
 private:
   friend class PointsToBuilder;
 
-  /// Node id per value (post-union-find representative).
+  /// Node id per value (the representative of its copy cycle).
   FlatHashMap<const Value *, uint32_t> ValueNode;
   /// Representative points-to set per node: cell ids.
   std::vector<std::vector<uint32_t>> NodePointsTo;

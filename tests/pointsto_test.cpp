@@ -349,6 +349,44 @@ TEST(PointsToTest, IndirectCallTargetsFollowModuleOrder) {
                          High->getName() + "', '" + Low->getName() + "'");
 }
 
+TEST(PointsToTest, IndirectCallArgumentsTrackedInWalkOrder) {
+  // The FP product is an argument no other constraint mentions. It is
+  // numbered where the collect walk meets the call, not when the solver
+  // wires a target, so trackedValues() order does not follow the solver.
+  auto Ctx = std::make_unique<IRContext>();
+  std::vector<std::string> FeDiags;
+  std::unique_ptr<Module> M = compileMiniC(*Ctx, "t", R"(
+    double half(double v) { return v * 0.5; }
+    int main() {
+      double (*fn)(double);
+      fn = half;
+      double d = 3.0;
+      double r = fn(d * 2.0);
+      return (int) r;
+    }
+  )", FeDiags);
+  ASSERT_TRUE(M) << (FeDiags.empty() ? "?" : FeDiags[0]);
+  const IndirectCallInst *IC = nullptr;
+  for (const auto &F : M->functions())
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->instructions())
+        if (const auto *C = dyn_cast<IndirectCallInst>(I.get()))
+          IC = C;
+  ASSERT_NE(IC, nullptr);
+  ASSERT_EQ(IC->getNumArgs(), 1u);
+  ASSERT_TRUE(isa<BinaryInst>(IC->getArg(0)));
+
+  PointsToResult PT = analyzePointsTo(*M);
+  ASSERT_EQ(PT.callTargets(IC).Targets.size(), 1u);
+  const std::vector<const Value *> &Tracked = PT.trackedValues();
+  auto position = [&](const Value *V) {
+    return static_cast<size_t>(std::find(Tracked.begin(), Tracked.end(), V) -
+                               Tracked.begin());
+  };
+  ASSERT_LT(position(IC->getArg(0)), Tracked.size());
+  EXPECT_LT(position(IC->getArg(0)), position(IC));
+}
+
 TEST(PointsToTest, DistinctAllocationsDoNotAlias) {
   Refined R = refine(R"(
     struct a { long x; long y; long z; };
